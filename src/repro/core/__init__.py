@@ -42,7 +42,7 @@ _EXPORTS = {
     "PageRun": "repro.core.pipeline",
     "SegmentationPipeline": "repro.core.pipeline",
     "SiteRun": "repro.core.pipeline",
-    "warm_tokens": "repro.core.pipeline",
+    "bind_token_cache": "repro.core.pipeline",
     "Degradation": "repro.core.stages",
     "Stage": "repro.core.stages",
     "StageContext": "repro.core.stages",

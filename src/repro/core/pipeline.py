@@ -54,7 +54,12 @@ tuples that predate the stage graph, so existing on-disk caches stay
 warm.  Caching engages only for pristine samples: a run carrying a
 ``crawl_health`` report came through a (possibly fault-injected) crawl
 whose degradation bookkeeping must actually execute, so it always
-computes.
+computes.  Two stages sit outside the per-site chain: ``tokenize``,
+which :func:`bind_token_cache` puts behind each page's
+:meth:`~repro.webdoc.page.Page.tokens` so a stream is read only when a
+stage that missed needs it, and ``detail_fields``
+(:meth:`SegmentationPipeline.detail_fields`), the detail-page
+label/value parse that names store columns.
 
 The pipeline is fully instrumented: handed an
 :class:`~repro.obs.Observability` bundle it emits a
@@ -72,6 +77,7 @@ installed a live bundle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -97,6 +103,7 @@ from repro.sitegen.site import GeneratedSite
 from repro.template.finder import TemplateFinder, TemplateVerdict
 from repro.template.model import PageTemplate
 from repro.template.table_slot import resolve_table_regions
+from repro.tokens.tokenizer import Token, tokenize_html
 from repro.webdoc.page import Page
 
 __all__ = [
@@ -104,7 +111,7 @@ __all__ = [
     "PageRun",
     "SiteRun",
     "SegmentationPipeline",
-    "warm_tokens",
+    "bind_token_cache",
 ]
 
 
@@ -176,6 +183,14 @@ def _template_result_attrs(verdict: TemplateVerdict, ctx: StageContext) -> dict:
     return attrs
 
 
+def _detail_fields(ctx: StageContext) -> dict[int, dict[str, str]]:
+    # Imported on use: only store-bound runs name columns, so the
+    # relational layer stays out of worker start-up.
+    from repro.relational.detail_fields import detail_field_pairs
+
+    return detail_field_pairs(ctx["details"], ctx["config"].allowed_punct)
+
+
 def _build_pipeline_graph() -> StageGraph:
     """The paper's stage catalogue, declared as data.
 
@@ -184,13 +199,21 @@ def _build_pipeline_graph() -> StageGraph:
     * site scope — ``list_pages``, ``list_htmls``, ``config``,
       ``method``, ``method_config``, ``finder``, ``make_segmenter``;
     * page scope — ``index``, ``region``, ``details``, ``other_lists``;
-    * tokenize scope — ``page``.
+    * tokenize scope — ``page``;
+    * detail-fields scope — ``details``, ``config``.
     """
     tokenize = Stage(
         name="tokenize",
         key=lambda ctx: (ctx["page"].html,),
-        compute=lambda ctx: ctx["page"].tokens(),
-        finalize=lambda tokens, ctx: ctx["page"].prime_tokens(tokens),
+        compute=lambda ctx: tokenize_html(ctx["page"].html),
+    )
+    detail_fields = Stage(
+        name="detail_fields",
+        key=lambda ctx: (
+            [page.html for page in ctx["details"]],
+            ctx["config"].allowed_punct,
+        ),
+        compute=_detail_fields,
     )
     template = Stage(
         name="template",
@@ -304,28 +327,40 @@ def _build_pipeline_graph() -> StageGraph:
             ),
         ),
     )
-    return StageGraph((tokenize, template, extracts, observations, segment))
+    return StageGraph(
+        (tokenize, detail_fields, template, extracts, observations, segment)
+    )
 
 
 #: The shared stage graph every driver executes through: the pipeline
-#: itself, the batch runner's workers (``tokenize`` pre-stage), the
-#: online service's fallback path, and the experiment sweeps.
+#: itself, the batch runner's workers (``tokenize`` behind each page's
+#: token source, ``detail_fields`` for store column names), the online
+#: service's fallback path, and the experiment sweeps.
 PIPELINE_GRAPH = _build_pipeline_graph()
 
 
-def warm_tokens(pages: Iterable[Page], cache: Any) -> None:
-    """Populate token streams through the declared ``tokenize`` stage.
+def _cached_tokens(cache: Any, page: Page) -> list[Token]:
+    ctx = StageContext({"page": page})
+    PIPELINE_GRAPH.run(ctx, targets=("tokenize",), cache=cache)
+    return ctx["tokenize"]
 
-    Tokenization is keyed on page bytes alone, so a warm stage cache
-    hands every worker its token streams without re-lexing.  Without a
-    cache this is a no-op (pages tokenize lazily on first use).
+
+def bind_token_cache(pages: Iterable[Page], cache: Any) -> None:
+    """Route each page's token stream through the ``tokenize`` stage.
+
+    Tokenization is keyed on page bytes alone, so a stage cache can
+    hand any worker a page's stream without re-lexing.  The binding is
+    lazy: the entry is loaded (or computed and stored) only when
+    something calls :meth:`Page.tokens` — a downstream stage that
+    missed the cache, or whole-page table-region resolution.  A site
+    whose stages all hit reads no token stream at all.  Without a
+    cache this is a no-op (pages tokenize on first use).
     """
     if cache is None:
         return
+    source = functools.partial(_cached_tokens, cache)
     for page in pages:
-        PIPELINE_GRAPH.run(
-            StageContext({"page": page}), targets=("tokenize",), cache=cache
-        )
+        page.bind_token_source(source)
 
 
 class SegmentationPipeline:
@@ -365,6 +400,18 @@ class SegmentationPipeline:
                 obs=self.obs,
             )
         return ProbabilisticSegmenter(self.config.prob)
+
+    def detail_fields(self, details: list[Page]) -> dict[int, dict[str, str]]:
+        """One list page's detail pages as ``{record: {label: value}}``.
+
+        Runs the ``detail_fields`` stage, through the pipeline's stage
+        cache when it has one.
+        """
+        ctx = StageContext({"details": details, "config": self.config})
+        PIPELINE_GRAPH.run(
+            ctx, targets=("detail_fields",), obs=self.obs, cache=self.cache
+        )
+        return ctx["detail_fields"]
 
     def _site_context(
         self, list_pages: list[Page], crawl_health: CrawlHealth | None

@@ -178,8 +178,7 @@ class Stage:
         finalize: ``(result, ctx) -> None`` hook run inside the span
             after ``result_attrs`` — for uncached derivations that
             belong to the stage (e.g. resolving table regions from a
-            template verdict) or for installing the result somewhere
-            (e.g. priming a page's token cache).
+            template verdict) or for installing the result somewhere.
         degradations: the stage's fallback ladder (see
             :class:`Degradation`).
     """

@@ -12,12 +12,16 @@ registry's snapshot, which the engine merges into the parent's
 metrics so a parallel run profiles exactly like a serial one.
 
 Workers execute stages through the shared stage graph
-(:data:`repro.core.pipeline.PIPELINE_GRAPH`): page tokenization is the
-graph's declared ``tokenize`` stage (warmed here via
-:func:`~repro.core.pipeline.warm_tokens` because it is keyed on page
-bytes alone), and everything downstream runs inside the
+(:data:`repro.core.pipeline.PIPELINE_GRAPH`): every page is bound to
+the graph's declared ``tokenize`` stage
+(:func:`~repro.core.pipeline.bind_token_cache`), so its token stream
+is read from the stage cache only if a stage that missed asks for it;
+everything downstream runs inside the
 :class:`~repro.core.pipeline.SegmentationPipeline` assembly of the
-same graph — no cache-key tuples or span emission live in this module.
+same graph, and store-bound runs (``collect_wire``) take their column
+names from its ``detail_fields`` stage.  A warm site therefore reads
+only the cache entries its outputs need, and no cache-key tuples or
+span emission live in this module.
 
 Failures never escape: any exception becomes a ``failed`` result
 carrying the traceback, so one broken site cannot take down the
@@ -33,10 +37,11 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.config import PipelineConfig
-from repro.core.pipeline import SegmentationPipeline, SiteRun, warm_tokens
+from repro.core.pipeline import SegmentationPipeline, SiteRun, bind_token_cache
 from repro.obs import Observability
 from repro.runner.cache import StageCache
 from repro.runner.tasks import PageOutcome, SiteTask, TaskResult
+from repro.webdoc.page import Page
 
 __all__ = ["execute_task"]
 
@@ -82,99 +87,96 @@ def _outcomes(run: SiteRun) -> tuple[list[PageOutcome], str]:
 def _attach_wire(
     pages: list[PageOutcome],
     run: SiteRun,
-    details_by_url: dict[str, list[Any]],
+    pipeline: SegmentationPipeline,
+    details_by_url: dict[str, list[Page]],
 ) -> None:
     """Attach store-ready wire entries to the page outcomes.
 
     One serialization (``repro.serve.schema.segmentation_records``)
     and one naming pass (``repro.store.ingest.page_entry``) shared
     with the serve path, so batch ingest and online ingest write
-    byte-identical store content for the same pages.
+    byte-identical store content for the same pages.  The detail-page
+    labels that name the columns come from the pipeline's cached
+    ``detail_fields`` stage.
     """
     from repro.serve.schema import segmentation_records
     from repro.store.ingest import page_entry
 
     for outcome, page_run in zip(pages, run.pages):
-        outcome.wire = page_entry(
-            outcome.url,
-            segmentation_records(page_run.segmentation),
-            details_by_url.get(outcome.url),
+        records = segmentation_records(page_run.segmentation)
+        details = details_by_url.get(outcome.url)
+        fields = (
+            pipeline.detail_fields(details) if details and records else None
         )
+        outcome.wire = page_entry(outcome.url, records, fields)
+
+
+def _segment(
+    pipeline: SegmentationPipeline,
+    list_pages: list[Page],
+    details: list[list[Page]],
+    collect_wire: bool,
+) -> tuple[SiteRun, list[PageOutcome], str]:
+    """Segment one site's sample: the body every handler shares."""
+    bind_token_cache(
+        list_pages + [page for group in details for page in group],
+        pipeline.cache,
+    )
+    run = pipeline.segment_site(list_pages, details)
+    pages, status = _outcomes(run)
+    if collect_wire:
+        _attach_wire(
+            pages,
+            run,
+            pipeline,
+            {page.url: group for page, group in zip(list_pages, details)},
+        )
+    return run, pages, status
 
 
 def _run_sample_dir(
-    task: SiteTask,
-    pipeline: SegmentationPipeline,
-    cache: StageCache | None,
-    collect_wire: bool = False,
+    task: SiteTask, pipeline: SegmentationPipeline, collect_wire: bool
 ) -> tuple[list[PageOutcome], str, Any]:
     from repro.webdoc.store import load_sample
 
     sample = load_sample(Path(task.spec))
-    warm_tokens(sample.list_pages, cache)
-    for details in sample.detail_pages_per_list:
-        warm_tokens(details, cache)
-    run = pipeline.segment_site(
-        sample.list_pages, sample.detail_pages_per_list
+    _, pages, status = _segment(
+        pipeline,
+        sample.list_pages,
+        sample.detail_pages_per_list,
+        collect_wire,
     )
-    pages, status = _outcomes(run)
-    if collect_wire:
-        _attach_wire(
-            pages,
-            run,
-            {
-                list_page.url: details
-                for list_page, details in zip(
-                    sample.list_pages, sample.detail_pages_per_list
-                )
-            },
-        )
     return pages, status, None
 
 
-def _run_generated(
-    task: SiteTask,
-    pipeline: SegmentationPipeline,
-    cache: StageCache | None,
-    collect_wire: bool = False,
-) -> tuple[list[PageOutcome], str, Any]:
+def _generated_sample(spec: str) -> tuple[Any, list[list[Page]]]:
     from repro.sitegen.corpus import build_site
 
-    site = build_site(task.spec)
-    warm_tokens(site.list_pages, cache)
+    site = build_site(spec)
     details = [site.detail_pages(i) for i in range(len(site.list_pages))]
-    for page_set in details:
-        warm_tokens(page_set, cache)
-    run = pipeline.segment_site(site.list_pages, details)
-    pages, status = _outcomes(run)
-    if collect_wire:
-        _attach_wire(
-            pages,
-            run,
-            {
-                list_page.url: page_set
-                for list_page, page_set in zip(site.list_pages, details)
-            },
-        )
+    return site, details
+
+
+def _run_generated(
+    task: SiteTask, pipeline: SegmentationPipeline, collect_wire: bool
+) -> tuple[list[PageOutcome], str, Any]:
+    site, details = _generated_sample(task.spec)
+    _, pages, status = _segment(
+        pipeline, site.list_pages, details, collect_wire
+    )
     return pages, status, None
 
 
 def _run_eval_generated(
-    task: SiteTask,
-    pipeline: SegmentationPipeline,
-    cache: StageCache | None,
-    collect_wire: bool = False,
+    task: SiteTask, pipeline: SegmentationPipeline, collect_wire: bool
 ) -> tuple[list[PageOutcome], str, Any]:
     from repro.core.evaluation import score_page
     from repro.reporting.aggregate import PageResult, notes_from_meta
-    from repro.sitegen.corpus import build_site
 
-    site = build_site(task.spec)
-    warm_tokens(site.list_pages, cache)
-    details = [site.detail_pages(i) for i in range(len(site.list_pages))]
-    for page_set in details:
-        warm_tokens(page_set, cache)
-    run = pipeline.segment_site(site.list_pages, details)
+    site, details = _generated_sample(task.spec)
+    run, pages, status = _segment(
+        pipeline, site.list_pages, details, collect_wire
+    )
     rows = [
         PageResult(
             site=site.spec.name,
@@ -187,16 +189,6 @@ def _run_eval_generated(
         )
         for page_run, truth in zip(run.pages, site.truth)
     ]
-    pages, status = _outcomes(run)
-    if collect_wire:
-        _attach_wire(
-            pages,
-            run,
-            {
-                list_page.url: page_set
-                for list_page, page_set in zip(site.list_pages, details)
-            },
-        )
     return pages, status, rows
 
 
@@ -236,7 +228,7 @@ def execute_task(
                     task.method, config, obs=obs, cache=cache
                 )
                 pages, status, payload = handler(
-                    task, pipeline, cache, collect_wire
+                    task, pipeline, collect_wire
                 )
             span.attributes["status"] = status
             span.attributes["pages"] = len(pages)

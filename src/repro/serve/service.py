@@ -65,6 +65,7 @@ from repro.core.pipeline import SegmentationPipeline, SiteRun
 from repro.core.stages import Degradation, Stage, StageContext, StageGraph
 from repro.crawl.resilient import CrawlBudget
 from repro.obs import MetricsRegistry, Observability
+from repro.relational.detail_fields import detail_field_pairs
 from repro.runner.cache import StageCache
 from repro.serve.drift import DriftVerdict, wrapped_page_quality
 from repro.serve.registry import WrapperRegistry
@@ -435,14 +436,17 @@ class SegmentationService:
                 list_page.url: page_details
                 for list_page, page_details in zip(list_pages, details)
             }
-            entries = [
-                page_entry(
-                    page["url"],
-                    page["records"],
-                    details_by_url.get(page["url"]),
+            entries = []
+            for page in pages:
+                page_details = details_by_url.get(page["url"])
+                fields = (
+                    detail_field_pairs(page_details)
+                    if page_details and page["records"]
+                    else None
                 )
-                for page in pages
-            ]
+                entries.append(
+                    page_entry(page["url"], page["records"], fields)
+                )
             ingest_pages(
                 self.store, site_id, method, entries, source="serve", obs=obs
             )

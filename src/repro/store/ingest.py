@@ -16,9 +16,12 @@ the ``{"url", "records", "record_count"}`` dicts of
   ingest identically.
 
 Semantic column names ride on each entry (``"names"``), computed by
-:func:`page_entry` from the site's detail pages through the existing
-:mod:`repro.relational` layer — the same agreement voting that names
-columns in the paper's combined view.
+:func:`page_entry` from the labels parsed off the site's detail pages
+(:func:`repro.relational.detail_fields.detail_field_pairs`) through the
+existing :mod:`repro.relational` naming — the same agreement voting
+that names columns in the paper's combined view.  Batch workers take
+those parsed labels from the pipeline's cached ``detail_fields``
+stage; the serve path parses them per request.
 
 Idempotence: a site's content fingerprint (canonical SHA-256 of its
 wire pages, via :func:`repro.runner.cache.fingerprint`) is stored on
@@ -36,13 +39,11 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.obs import Observability
-from repro.relational.detail_fields import detail_field_pairs
 from repro.relational.naming import name_columns
 from repro.relational.table_builder import RelationalTable
 from repro.runner.cache import fingerprint
 from repro.store.catalog import Catalog
 from repro.store.db import RelationalStore, StoreError, now
-from repro.webdoc.page import Page
 
 __all__ = [
     "IngestReport",
@@ -118,7 +119,7 @@ def _page_table(records: Sequence[Any]) -> RelationalTable:
 def page_entry(
     url: str,
     records: list[dict[str, Any]],
-    detail_pages: Sequence[Page] | None = None,
+    fields: dict[int, dict[str, str]] | None = None,
 ) -> dict[str, Any]:
     """One store-ready wire page entry (the single ingest currency).
 
@@ -127,9 +128,11 @@ def page_entry(
         records: wire record dicts (from
             :func:`repro.serve.schema.segmentation_records` or
             :func:`~repro.serve.schema.wrapped_row_records`).
-        detail_pages: the page's detail pages; when given, columns are
-            named through the relational layer and the names ride on
-            the entry as ``{"L0": "Owner", ...}``.
+        fields: the page's detail pages parsed into
+            ``{record: {label: value}}``
+            (:func:`~repro.relational.detail_fields.detail_field_pairs`);
+            when given, columns are named through the relational layer
+            and the names ride on the entry as ``{"L0": "Owner", ...}``.
     """
     entry: dict[str, Any] = {
         "url": url,
@@ -137,10 +140,8 @@ def page_entry(
         "record_count": len(records),
         "names": {},
     }
-    if detail_pages and records:
-        table = _page_table(records)
-        fields = detail_field_pairs(list(detail_pages))
-        entry["names"] = name_columns(table, fields)
+    if fields and records:
+        entry["names"] = name_columns(_page_table(records), fields)
     return entry
 
 

@@ -67,12 +67,21 @@ class Token:
     @property
     def is_html(self) -> bool:
         """True for tag tokens."""
-        return bool(self.types & TokenType.HTML)
+        return TokenType.HTML in self.types
 
     @property
     def is_punct(self) -> bool:
         """True for pure-punctuation tokens."""
-        return bool(self.types & TokenType.PUNCT)
+        return TokenType.PUNCT in self.types
+
+    def __reduce__(self):
+        # Pickle as constructor arguments: one call per token on load,
+        # where the dataclass default replays a ``__setstate__`` loop.
+        # That default ``__setstate__`` stays, so streams pickled in
+        # the older format (stage-cache entries already on disk) load.
+        return Token, (
+            self.text, self.types, self.index, self.ws_before, self.start
+        )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.text

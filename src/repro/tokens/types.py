@@ -63,6 +63,13 @@ TOKEN_TYPE_ORDER: tuple[TokenType, ...] = (
 
 NUM_TOKEN_TYPES = len(TOKEN_TYPE_ORDER)
 
+_ALNUM, _NUMERIC, _ALPHA, _CAPITALIZED, _LOWERCASE, _ALLCAPS = (
+    flag.value for flag in TOKEN_TYPE_ORDER[2:]
+)
+
+#: Type-set bits -> the canonical ``TokenType`` member, filled on demand.
+_MEMBERS: dict[int, TokenType] = {}
+
 
 def classify_text(text: str) -> TokenType:
     """Assign the syntactic type set of one *text* token.
@@ -104,21 +111,23 @@ def classify_text(text: str) -> TokenType:
     if not letters and not has_digit:
         return TokenType.PUNCT
 
-    types = TokenType.ALNUM
+    # Plain int arithmetic: every ``Flag`` operator builds a new member
+    # through the enum machinery, and this runs once per text token.
+    bits = _ALNUM
     if has_digit and not letters:
-        types |= TokenType.NUMERIC
+        bits |= _NUMERIC
     if letters:
-        types |= TokenType.ALPHA
+        bits |= _ALPHA
         if all(char.isupper() for char in letters):
-            if len(letters) >= 2:
-                types |= TokenType.ALLCAPS
-            else:
-                types |= TokenType.CAPITALIZED
+            bits |= _ALLCAPS if len(letters) >= 2 else _CAPITALIZED
         elif all(char.islower() for char in letters):
-            types |= TokenType.LOWERCASE
+            bits |= _LOWERCASE
         elif letters[0].isupper():
-            types |= TokenType.CAPITALIZED
-    return types
+            bits |= _CAPITALIZED
+    member = _MEMBERS.get(bits)
+    if member is None:
+        member = _MEMBERS[bits] = TokenType(bits)
+    return member
 
 
 def type_vector(types: TokenType) -> tuple[int, ...]:

@@ -6,13 +6,15 @@ one list page plus its detail pages, and the simulated crawler produces
 them.  Token streams are computed lazily and cached, since every stage
 of the pipeline re-reads them; the text-only view is cached separately
 because several stages (matching, drift scoring) filter the same
-stream per page.
+stream per page.  A page may be bound to a *token source* (the batch
+runner binds a stage-cache lookup), which then supplies the stream the
+first time it is asked for instead of the tokenizer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.tokens.tokenizer import Token
@@ -45,18 +47,38 @@ class Page:
     _token_text_set: "frozenset[str] | None" = field(
         default=None, repr=False, compare=False
     )
+    _token_source: "Callable[[Page], list[Token]] | None" = field(
+        default=None, repr=False, compare=False
+    )
 
     def tokens(self) -> "list[Token]":
         """Tokenize the page (cached).
 
         Returns the full token stream including HTML-tag tokens, as
-        defined in paper Section 3.1.
+        defined in paper Section 3.1.  A bound token source (see
+        :meth:`bind_token_source`) supplies it in place of the
+        tokenizer.
         """
         if self._tokens is None:
-            from repro.tokens.tokenizer import tokenize_html
+            if self._token_source is not None:
+                self._tokens = self._token_source(self)
+            else:
+                from repro.tokens.tokenizer import tokenize_html
 
-            self._tokens = tokenize_html(self.html)
+                self._tokens = tokenize_html(self.html)
         return self._tokens
+
+    def bind_token_source(
+        self, source: "Callable[[Page], list[Token]]"
+    ) -> None:
+        """Have :meth:`tokens` ask ``source(page)`` for the stream.
+
+        The source must return exactly what the tokenizer would for
+        this page's ``html``.  Nothing is read at bind time: the
+        source runs on the first :meth:`tokens` call, so a page whose
+        stream nobody asks for costs nothing.
+        """
+        self._token_source = source
 
     def text_tokens(self) -> "list[Token]":
         """Only the visible-text tokens of the page (no tags; cached)."""
@@ -79,17 +101,6 @@ class Page:
                 token.text for token in self.tokens()
             )
         return self._token_text_set
-
-    def prime_tokens(self, tokens: "list[Token]") -> None:
-        """Install an externally computed token stream.
-
-        Used by the batch runner's ``tokenize`` stage to hand a page
-        its cached stream; resets the derived views so they are
-        refiltered from the new stream.
-        """
-        self._tokens = tokens
-        self._text_tokens = None
-        self._token_text_set = None
 
     def invalidate_cache(self) -> None:
         """Drop the cached token streams (after mutating ``html``)."""

@@ -383,6 +383,7 @@ class TestPageEntry:
 
         site = build_site("allegheny")
         from repro.core.pipeline import SegmentationPipeline
+        from repro.relational.detail_fields import detail_field_pairs
         from repro.serve.schema import segmentation_records
 
         run = SegmentationPipeline("prob").segment_generated_site(site)
@@ -390,7 +391,7 @@ class TestPageEntry:
         made = page_entry(
             page_run.page.url,
             segmentation_records(page_run.segmentation),
-            site.detail_pages(0),
+            detail_field_pairs(site.detail_pages(0)),
         )
         assert made["names"].get("L0") == "Parcel ID"
         assert made["names"].get("L1") == "Owner"

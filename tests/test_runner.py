@@ -7,20 +7,24 @@ import json
 
 import pytest
 
+import repro.relational.detail_fields
 from repro.cli import main
+from repro.ingest import ingest_pages, write_bundles
 from repro.obs import Observability
 from repro.runner import (
     BatchRunner,
     RunManifest,
     RunnerConfig,
     SiteTask,
+    StageCache,
     TaskRecord,
     execute_task,
     tasks_for_sites,
     tasks_from_directory,
 )
 from repro.sitegen.corpus import build_site
-from repro.webdoc.store import save_sample
+from repro.sitegen.mixed import MixedCorpusSpec, build_mixed_corpus
+from repro.webdoc.store import load_sample, save_sample
 
 SITES = ("lee", "butler", "ohio")
 
@@ -210,6 +214,64 @@ class TestEngineSerial:
         assert cold.cache_misses > 0
         assert warm.cache_misses == 0 and warm.cache_hits > 0
         assert cold.digest() == warm.digest()
+
+
+class TestWarmReadDiscipline:
+    """A warm site reads only the cache entries its outputs need."""
+
+    def test_warm_runs_skip_detail_tokens_and_field_parsing(
+        self, tmp_path, monkeypatch
+    ):
+        corpus = build_mixed_corpus(MixedCorpusSpec(sites=4, seed=5))
+        write_bundles(ingest_pages(corpus.pages), tmp_path / "bundles")
+        tasks = tasks_from_directory(tmp_path / "bundles")
+        cache_dir = str(tmp_path / "cache")
+
+        def run(workers):
+            return BatchRunner(
+                RunnerConfig(
+                    workers=workers, cache_dir=cache_dir, collect_wire=True
+                )
+            ).run(tasks)
+
+        def wire(batch):
+            return {
+                result.task_id: [page.wire for page in result.pages]
+                for result in batch.results
+            }
+
+        cold = run(1)
+        assert {result.status for result in cold.results} == {"ok"}
+        assert any(
+            entry["names"] for entries in wire(cold).values() for entry in entries
+        )
+
+        # Drop every detail page's tokenize entry: a warm run that asked
+        # for one (directly, or by parsing detail fields) would miss it.
+        cache = StageCache(cache_dir)
+        detail_keys = [
+            cache.key("tokenize", [page.html])
+            for task in tasks
+            for group in load_sample(task.spec).detail_pages_per_list
+            for page in group
+        ]
+        assert all(cache.delete("tokenize", key) for key in detail_keys)
+        parsed = []
+        monkeypatch.setattr(
+            repro.relational.detail_fields,
+            "detail_field_pairs",
+            lambda *args, **kwargs: parsed.append(args),
+        )
+
+        for workers in (1, 2):
+            warm = run(workers)
+            assert warm.cache_misses == 0 and warm.cache_hits > 0, workers
+            assert sorted(r.digest() for r in warm.results) == sorted(
+                r.digest() for r in cold.results
+            )
+            assert wire(warm) == wire(cold)
+        assert parsed == []
+        assert not any(cache.load("tokenize", key)[0] for key in detail_keys)
 
 
 class TestEngineParallel:

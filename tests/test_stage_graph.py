@@ -25,12 +25,17 @@ from repro.core.exceptions import (
     EmptyProblemError,
     TemplateNotFoundError,
 )
-from repro.core.pipeline import PIPELINE_GRAPH, SegmentationPipeline
+from repro.core.pipeline import (
+    PIPELINE_GRAPH,
+    SegmentationPipeline,
+    bind_token_cache,
+)
 from repro.core.stages import Degradation, Stage, StageContext, StageGraph
 from repro.crawl.resilient import CrawlHealth
 from repro.csp.segmenter import CspSegmenter
 from repro.extraction.extracts import extract_strings
 from repro.extraction.observations import ObservationTable
+from repro.relational.detail_fields import detail_field_pairs
 from repro.runner.cache import MemoryStageCache, StageCache, fingerprint
 from repro.sitegen.corpus import build_site
 from repro.template.finder import TemplateFinder
@@ -310,6 +315,47 @@ class TestGoldenKeyParity:
                 tokenize_keys[page.url]
             )
 
+    def test_detail_fields_key_material_golden(self, site):
+        """``detail_fields`` keys on detail-page bytes + punctuation only.
+
+        No dependencies: the entry is shared by every method and every
+        template/match/segmenter setting, and the digest below pins the
+        on-disk entry name for fixed inputs.
+        """
+        config = PipelineConfig()
+        details = site.detail_pages(0)
+        ctx = StageContext({"details": details, "config": config})
+        assert PIPELINE_GRAPH.stage("detail_fields").deps == ()
+        assert PIPELINE_GRAPH.key_material("detail_fields", ctx) == [
+            [page.html for page in details],
+            config.allowed_punct,
+        ]
+        fixed = StageContext(
+            {
+                "details": [
+                    Page("r0.html", "<p>Name: Ann</p>"),
+                    Page("r1.html", "<p>Name: Bob</p>"),
+                ],
+                "config": config,
+            }
+        )
+        assert fingerprint(
+            "detail_fields", PIPELINE_GRAPH.key_material("detail_fields", fixed)
+        ) == "8fa6d2ce3e1a295515f973157e6195d18508ce0fbcd266bfe9bf451c2be56a14"
+
+    def test_detail_fields_stage_is_the_relational_parse(self, tmp_path, site):
+        details = site.detail_pages(0)
+        expected = detail_field_pairs(details)
+        cold = SegmentationPipeline("csp", cache=StageCache(tmp_path))
+        assert cold.detail_fields(details) == expected
+        warm_cache = StageCache(tmp_path)
+        warm = SegmentationPipeline("csp", cache=warm_cache)
+        fresh = [Page(page.url, page.html) for page in details]
+        assert warm.detail_fields(fresh) == expected
+        assert (warm_cache.stats.hits, warm_cache.stats.misses) == (1, 0)
+        # A cache hit never tokenizes the detail pages.
+        assert all(page._tokens is None for page in fresh)
+
     def test_legacy_primed_cache_serves_graph_run_warm(self, tmp_path, site):
         """A cache primed with pre-refactor keys gives 100% hits."""
         config = PipelineConfig()
@@ -368,6 +414,29 @@ class TestGoldenKeyParity:
         assert warm.stats.hits > 0
         assert len(run.pages) == len(site.list_pages)
         assert all(page_run.segmentation.records for page_run in run.pages)
+
+
+class TestTokenBinding:
+    def test_tokens_load_through_the_cache_on_first_use(self, tmp_path):
+        html = build_site("lee").list_pages[0].html
+        cold_cache = StageCache(tmp_path)
+        cold = Page("a.html", html)
+        bind_token_cache([cold], cold_cache)
+        assert cold_cache.stats.misses == 0  # binding reads nothing
+        assert cold.tokens() == Page("a.html", html).tokens()
+        assert (cold_cache.stats.hits, cold_cache.stats.misses) == (0, 1)
+
+        warm_cache = StageCache(tmp_path)
+        warm = Page("a.html", html)
+        bind_token_cache([warm], warm_cache)
+        assert warm.tokens() == cold.tokens()
+        assert warm.tokens() is warm.tokens()
+        assert (warm_cache.stats.hits, warm_cache.stats.misses) == (1, 0)
+
+    def test_no_cache_binds_nothing(self):
+        page = Page("a.html", "<b>hi</b>")
+        bind_token_cache([page], None)
+        assert page._token_source is None
 
 
 class _Raising:

@@ -47,6 +47,12 @@ class TestClassification:
         assert TokenType.CAPITALIZED in classify_text("Müller")
         assert TokenType.ALLCAPS in classify_text("MÜLLER")
 
+    @given(st.text(max_size=20))
+    def test_returns_the_canonical_member(self, text):
+        types = classify_text(text)
+        assert type(types) is TokenType
+        assert types is TokenType(types.value)
+
 
 class TestTypeVector:
     def test_length_and_order(self):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 from hypothesis import given, strategies as st
 
 from repro.tokens.tokenizer import (
@@ -10,6 +13,7 @@ from repro.tokens.tokenizer import (
     tokenize_html,
     tokenize_text,
 )
+from repro.tokens.types import TokenType
 from repro.webdoc.page import Page
 
 
@@ -92,6 +96,14 @@ class TestSeparators:
             assert not is_separator(token)
 
 
+class TestTypePredicates:
+    @given(st.text(max_size=60))
+    def test_membership_matches_flag_intersection(self, text):
+        for token in tokenize_html(f"<p>{text}</p>"):
+            assert token.is_html == bool(token.types & TokenType.HTML)
+            assert token.is_punct == bool(token.types & TokenType.PUNCT)
+
+
 class TestPageCache:
     def test_tokens_cached(self):
         page = Page(url="x", html="<b>hi</b>")
@@ -108,6 +120,71 @@ class TestPageCache:
     def test_text_tokens_excludes_tags(self):
         page = Page(url="x", html="<b>hi there</b>")
         assert [t.text for t in page.text_tokens()] == ["hi", "there"]
+
+    def test_bound_source_runs_once_on_first_use(self):
+        page = Page(url="x", html="<b>hi</b>")
+        calls = []
+
+        def source(asked):
+            calls.append(asked)
+            return tokenize_html(asked.html)
+
+        page.bind_token_source(source)
+        assert calls == []
+        assert page.tokens() == tokenize_html("<b>hi</b>")
+        assert page.text_tokens()[0].text == "hi"
+        assert calls == [page]
+
+
+#: ``tokenize_html("<b>Ann</b> 740!")`` pickled (protocol 5) when
+#: ``Token`` still pickled as dataclass state (``NEWOBJ`` + ``BUILD``
+#: through the slots dataclass ``__setstate__``) — the format of stage
+#: cache entries written before ``Token.__reduce__``.
+DATACLASS_STATE_PICKLE = (
+    b"\x80\x05\x95\xd1\x00\x00\x00\x00\x00\x00\x00]\x94(\x8c\x16"
+    b"repro.tokens.tok"
+    b"enizer\x94\x8c\x05Token\x94\x93"
+    b"\x94)\x81\x94]\x94(\x8c\x03<b>\x94\x8c\x12r"
+    b"epro.tokens.type"
+    b"s\x94\x8c\tTokenType\x94\x93\x94"
+    b"K\x01\x85\x94R\x94K\x00\x88K\x00ebh\x03)"
+    b"\x81\x94]\x94(\x8c\x03Ann\x94h\tK4\x85"
+    b"\x94R\x94K\x01\x88K\x03ebh\x03)\x81\x94]"
+    b"\x94(\x8c\x04</b>\x94h\x0bK\x02\x88K\x06"
+    b"ebh\x03)\x81\x94]\x94(\x8c\x03740\x94"
+    b"h\tK\x0c\x85\x94R\x94K\x03\x88K\x0bebh"
+    b"\x03)\x81\x94]\x94(\x8c\x01!\x94h\tK\x02\x85"
+    b"\x94R\x94K\x04\x89K\x0eebe."
+)
+
+
+class TestTokenPickling:
+    def test_round_trip_and_deepcopy_equal(self):
+        tokens = tokenize_html("<b>John Smith</b> (740) 335-5555!")
+        for copied in (
+            pickle.loads(pickle.dumps(tokens, pickle.HIGHEST_PROTOCOL)),
+            copy.deepcopy(tokens),
+        ):
+            assert copied == tokens
+            assert [t.types for t in copied] == [t.types for t in tokens]
+            assert all(
+                a.types is b.types and a.ws_before == b.ws_before
+                for a, b in zip(copied, tokens)
+            )
+
+    def test_pickles_as_constructor_arguments(self):
+        (token,) = tokenize_text("Ann")
+        constructor, args = token.__reduce__()
+        assert constructor(*args) == token
+        assert args == (
+            token.text, token.types, token.index, token.ws_before, token.start
+        )
+
+    def test_dataclass_state_pickle_still_loads(self):
+        # Stage caches already on disk stay warm.
+        assert pickle.loads(DATACLASS_STATE_PICKLE) == tokenize_html(
+            "<b>Ann</b> 740!"
+        )
 
 
 class TestProperties:
