@@ -26,10 +26,11 @@ from repro.core.evaluation import PageScore
 from repro.csp.encoder import EncoderConfig
 from repro.csp.segmenter import CspConfig
 from repro.extraction.matching import MatchOptions
+from repro.prob.config import ProbConfig
 from repro.prob.em import run_em
 from repro.prob.forward_backward import forward_backward
 from repro.prob.lattice import Lattice, derive_column_count
-from repro.prob.model import ModelParams, ProbConfig
+from repro.prob.model import ModelParams
 from repro.reporting.experiment import run_site
 
 #: A representative slice: two clean sites, three dirty ones.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.prob.model import ProbConfig
+from repro.prob.config import ProbConfig
 from repro.prob.segmenter import ProbabilisticSegmenter
 from repro.tokens.types import TOKEN_TYPE_ORDER
 

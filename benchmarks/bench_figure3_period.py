@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.core.config import PipelineConfig
 from repro.core.evaluation import PageScore
-from repro.prob.model import ProbConfig
+from repro.prob.config import ProbConfig
 from repro.reporting.experiment import run_corpus
 
 

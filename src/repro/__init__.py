@@ -22,62 +22,36 @@ Quickstart::
     for record in run.pages[0].segmentation.records:
         print(record)
 
+The names below load on first use (:mod:`repro._lazy`), so importing
+any one submodule does not load the rest of the library.
+
 See README.md for the architecture overview, DESIGN.md for the
 system inventory, and EXPERIMENTS.md for paper-vs-measured results.
 """
 
-from repro.core.config import METHODS, PipelineConfig
-from repro.core.evaluation import PageScore, score_page
-from repro.core.exceptions import ReproError
-from repro.core.pipeline import PageRun, SegmentationPipeline, SiteRun
-from repro.core.results import SegmentedRecord, Segmentation
-from repro.core.hybrid import HybridConfig, HybridSegmenter
-from repro.csp.segmenter import CspConfig, CspSegmenter
-from repro.extraction.extracts import Extract, extract_strings
-from repro.extraction.observations import Observation, ObservationTable
-from repro.obs import ManualClock, MetricsRegistry, Observability, Tracer
-from repro.prob.model import ProbConfig
-from repro.prob.segmenter import ProbabilisticSegmenter
-from repro.reporting.experiment import run_corpus, run_site
-from repro.reporting.tables import render_table4
-from repro.sitegen.corpus import build_corpus, build_site
-from repro.template.finder import TemplateFinder, TemplateFinderConfig
-from repro.webdoc.page import Page
+from repro._lazy import lazy_exports
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CspConfig",
-    "CspSegmenter",
-    "Extract",
-    "HybridConfig",
-    "HybridSegmenter",
-    "METHODS",
-    "ManualClock",
-    "MetricsRegistry",
-    "Observability",
-    "Observation",
-    "ObservationTable",
-    "Page",
-    "PageRun",
-    "PageScore",
-    "PipelineConfig",
-    "ProbConfig",
-    "ProbabilisticSegmenter",
-    "ReproError",
-    "SegmentationPipeline",
-    "SegmentedRecord",
-    "Segmentation",
-    "SiteRun",
-    "TemplateFinder",
-    "TemplateFinderConfig",
-    "Tracer",
-    "__version__",
-    "build_corpus",
-    "build_site",
-    "extract_strings",
-    "render_table4",
-    "run_corpus",
-    "run_site",
-    "score_page",
-]
+_EXPORTS = {
+    "repro.core.config": ("METHODS", "PipelineConfig"),
+    "repro.core.evaluation": ("PageScore", "score_page"),
+    "repro.core.exceptions": ("ReproError",),
+    "repro.core.pipeline": ("PageRun", "SegmentationPipeline", "SiteRun"),
+    "repro.core.results": ("SegmentedRecord", "Segmentation"),
+    "repro.core.hybrid": ("HybridConfig", "HybridSegmenter"),
+    "repro.csp.segmenter": ("CspConfig", "CspSegmenter"),
+    "repro.extraction.extracts": ("Extract", "extract_strings"),
+    "repro.extraction.observations": ("Observation", "ObservationTable"),
+    "repro.obs": ("ManualClock", "MetricsRegistry", "Observability", "Tracer"),
+    "repro.prob.config": ("ProbConfig",),
+    "repro.prob.segmenter": ("ProbabilisticSegmenter",),
+    "repro.reporting.experiment": ("run_corpus", "run_site"),
+    "repro.reporting.tables": ("render_table4",),
+    "repro.sitegen.corpus": ("build_corpus", "build_site"),
+    "repro.template.finder": ("TemplateFinder", "TemplateFinderConfig"),
+    "repro.webdoc.page": ("Page",),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__all__ = sorted([*__all__, "__version__"])

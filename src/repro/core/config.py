@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from repro.core.exceptions import ConfigError
 from repro.csp.segmenter import CspConfig
 from repro.extraction.matching import MatchOptions
-from repro.prob.model import ProbConfig
+from repro.prob.config import ProbConfig
 from repro.template.finder import TemplateFinderConfig
 from repro.tokens.tokenizer import DEFAULT_ALLOWED_PUNCT
 

@@ -29,7 +29,7 @@ from repro.csp.relaxation import RelaxationLevel
 from repro.csp.segmenter import CspConfig, CspSegmenter
 from repro.extraction.observations import ObservationTable
 from repro.obs import Observability
-from repro.prob.model import ProbConfig
+from repro.prob.config import ProbConfig
 from repro.prob.segmenter import ProbabilisticSegmenter
 
 __all__ = ["HybridConfig", "HybridSegmenter"]

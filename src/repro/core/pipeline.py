@@ -79,7 +79,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.core.config import METHODS, PipelineConfig
 from repro.core.exceptions import (
@@ -92,19 +92,20 @@ from repro.core.exceptions import (
 )
 from repro.core.results import Segmentation
 from repro.core.stages import Degradation, Stage, StageContext, StageGraph
-from repro.crawl.resilient import CrawlBudget, CrawlHealth, RetryPolicy
 from repro.csp.segmenter import CspSegmenter
 from repro.extraction.extracts import extract_strings
 from repro.extraction.observations import ObservationTable
 from repro.obs import Observability, current as current_obs
-from repro.prob.segmenter import ProbabilisticSegmenter
-from repro.sitegen.faults import FaultPlan
-from repro.sitegen.site import GeneratedSite
 from repro.template.finder import TemplateFinder, TemplateVerdict
 from repro.template.model import PageTemplate
 from repro.template.table_slot import resolve_table_regions
 from repro.tokens.tokenizer import Token, tokenize_html
 from repro.webdoc.page import Page
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.crawl.resilient import CrawlBudget, CrawlHealth, RetryPolicy
+    from repro.sitegen.faults import FaultPlan
+    from repro.sitegen.site import GeneratedSite
 
 __all__ = [
     "PIPELINE_GRAPH",
@@ -399,6 +400,8 @@ class SegmentationPipeline:
                 HybridConfig(csp=self.config.csp, prob=self.config.prob),
                 obs=self.obs,
             )
+        from repro.prob.segmenter import ProbabilisticSegmenter
+
         return ProbabilisticSegmenter(self.config.prob)
 
     def detail_fields(self, details: list[Page]) -> dict[int, dict[str, str]]:

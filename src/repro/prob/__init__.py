@@ -1,30 +1,6 @@
-"""Probabilistic record segmenter (paper Section 5)."""
+"""Probabilistic record segmenter (paper Section 5).
 
-from repro.prob.bootstrap import bootstrap_params, tentative_starts
-from repro.prob.decode import DecodeResult, viterbi
-from repro.prob.em import EmInfo, run_em
-from repro.prob.forward_backward import ForwardBackwardResult, forward_backward
-from repro.prob.lattice import Lattice, derive_column_count, observed_type_vectors
-from repro.prob.model import ModelParams, ProbConfig
-from repro.prob.period import expected_length, fit_period, period_mode
-from repro.prob.segmenter import ProbabilisticSegmenter
-
-__all__ = [
-    "DecodeResult",
-    "EmInfo",
-    "ForwardBackwardResult",
-    "Lattice",
-    "ModelParams",
-    "ProbConfig",
-    "ProbabilisticSegmenter",
-    "bootstrap_params",
-    "derive_column_count",
-    "expected_length",
-    "fit_period",
-    "forward_backward",
-    "observed_type_vectors",
-    "period_mode",
-    "run_em",
-    "tentative_starts",
-    "viterbi",
-]
+The package re-exports nothing, so importing the numpy-free
+:mod:`repro.prob.config` (as :mod:`repro.core.config` does) does not
+load numpy; the segmenter lives in :mod:`repro.prob.segmenter`.
+"""

@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.extraction.observations import ObservationTable
-from repro.prob.model import ModelParams, ProbConfig
+from repro.prob.config import ProbConfig
+from repro.prob.model import ModelParams
 from repro.prob.period import fit_period
 from repro.prob.lattice import observed_type_vectors
 from repro.tokens.types import NUM_TOKEN_TYPES

@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.prob.bootstrap import bootstrap_params
+from repro.prob.config import ProbConfig
 from repro.prob.forward_backward import ForwardBackwardResult, forward_backward
 from repro.prob.lattice import START, WITHIN, Lattice
-from repro.prob.model import ModelParams, ProbConfig
+from repro.prob.model import ModelParams
 from repro.prob.period import fit_period
 
 __all__ = ["EmInfo", "run_em"]

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.extraction.observations import ObservationTable
-from repro.prob.model import ModelParams, ProbConfig
+from repro.prob.config import ProbConfig
+from repro.prob.model import ModelParams
 from repro.tokens.types import NUM_TOKEN_TYPES, type_vector
 
 __all__ = ["Lattice", "observed_type_vectors", "derive_column_count"]

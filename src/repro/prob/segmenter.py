@@ -16,10 +16,11 @@ from repro.core.exceptions import EmptyProblemError
 from repro.core.results import Segmentation
 from repro.extraction.observations import ObservationTable
 from repro.prob.bootstrap import bootstrap_params
+from repro.prob.config import ProbConfig
 from repro.prob.decode import viterbi
 from repro.prob.em import run_em
 from repro.prob.lattice import Lattice, derive_column_count
-from repro.prob.model import ModelParams, ProbConfig
+from repro.prob.model import ModelParams
 from repro.prob.period import expected_length, period_mode
 
 __all__ = ["ProbabilisticSegmenter"]

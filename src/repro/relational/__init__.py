@@ -25,20 +25,20 @@ This subpackage delivers that layer:
 * :mod:`repro.relational.naming` — semantic column names recovered
   from the detail pages' own labels (Section 3.4's "more semantically
   meaningful labels").
+
+The names below load on first use (:mod:`repro._lazy`), so the store,
+which needs only naming and table building, does not load the
+numpy-based column assigner.
 """
 
-from repro.relational.csp_columns import CspColumnAssigner
-from repro.relational.detail_fields import detail_field_pairs
-from repro.relational.evaluation import column_purity
-from repro.relational.naming import apply_column_names, name_columns
-from repro.relational.table_builder import RelationalTable, build_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CspColumnAssigner",
-    "RelationalTable",
-    "apply_column_names",
-    "build_table",
-    "column_purity",
-    "detail_field_pairs",
-    "name_columns",
-]
+_EXPORTS = {
+    "repro.relational.csp_columns": ("CspColumnAssigner",),
+    "repro.relational.detail_fields": ("detail_field_pairs",),
+    "repro.relational.evaluation": ("column_purity",),
+    "repro.relational.naming": ("apply_column_names", "name_columns"),
+    "repro.relational.table_builder": ("RelationalTable", "build_table"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

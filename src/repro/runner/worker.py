@@ -23,6 +23,12 @@ names from its ``detail_fields`` stage.  A warm site therefore reads
 only the cache entries its outputs need, and no cache-key tuples or
 span emission live in this module.
 
+Every spawned worker pays for this module's imports at start-up, so
+it imports only the pipeline core.  The layers one task kind needs
+(sample loading, the simulator, scoring, store wiring) are imported
+inside their handlers, and the pipeline imports a method's segmenter
+when it first segments.
+
 Failures never escape: any exception becomes a ``failed`` result
 carrying the traceback, so one broken site cannot take down the
 batch (the process-pool analogue of the resilient pipeline's

@@ -40,57 +40,39 @@ Module map (request logic is transport-free by design):
 CLI: ``repro serve --port 8080 --procs 4 --workers 4 --max-queue 16
 --wrapper-cache-dir ./wrappers``.  Full endpoint and capacity-knob
 reference: ``docs/serving.md``.
+
+The names below load on first use (:mod:`repro._lazy`): a batch
+worker that imports only :mod:`~repro.serve.schema` does not load the
+HTTP server or the supervisor.
 """
 
-from repro.serve.chaos import (
-    ChaosInjector,
-    ChaosPlan,
-    ChaosStageCache,
-    load_chaos_plan,
-)
-from repro.serve.client import (
-    ServeClient,
-    ServeResponse,
-    payload_from_pages,
-    payload_from_sample,
-)
-from repro.serve.drift import DriftVerdict, wrapped_page_quality
-from repro.serve.http import SegmentationServer
-from repro.serve.registry import WrapperRegistry
-from repro.serve.service import (
-    SegmentationService,
-    ServeError,
-    ServiceConfig,
-)
-from repro.serve.supervisor import (
-    CrashBudget,
-    RestartBackoff,
-    Supervisor,
-    SupervisorConfig,
-    run_worker,
-    supports_reuse_port,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChaosInjector",
-    "ChaosPlan",
-    "ChaosStageCache",
-    "CrashBudget",
-    "DriftVerdict",
-    "RestartBackoff",
-    "SegmentationServer",
-    "SegmentationService",
-    "ServeClient",
-    "ServeError",
-    "ServeResponse",
-    "ServiceConfig",
-    "Supervisor",
-    "SupervisorConfig",
-    "WrapperRegistry",
-    "load_chaos_plan",
-    "payload_from_pages",
-    "payload_from_sample",
-    "run_worker",
-    "supports_reuse_port",
-    "wrapped_page_quality",
-]
+_EXPORTS = {
+    "repro.serve.chaos": (
+        "ChaosInjector",
+        "ChaosPlan",
+        "ChaosStageCache",
+        "load_chaos_plan",
+    ),
+    "repro.serve.client": (
+        "ServeClient",
+        "ServeResponse",
+        "payload_from_pages",
+        "payload_from_sample",
+    ),
+    "repro.serve.drift": ("DriftVerdict", "wrapped_page_quality"),
+    "repro.serve.http": ("SegmentationServer",),
+    "repro.serve.registry": ("WrapperRegistry",),
+    "repro.serve.service": ("SegmentationService", "ServeError", "ServiceConfig"),
+    "repro.serve.supervisor": (
+        "CrashBudget",
+        "RestartBackoff",
+        "Supervisor",
+        "SupervisorConfig",
+        "run_worker",
+        "supports_reuse_port",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -34,12 +34,14 @@ HTML instead of file references::
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.pipeline import SiteRun
 from repro.core.results import Segmentation
 from repro.webdoc.page import Page
-from repro.wrapper.apply import WrappedRow
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.wrapper.apply import WrappedRow
 
 __all__ = [
     "PayloadError",

@@ -10,11 +10,12 @@ import pytest
 
 from repro.core.exceptions import InferenceError
 from repro.prob.bootstrap import bootstrap_params, tentative_starts
+from repro.prob.config import ProbConfig
 from repro.prob.decode import viterbi
 from repro.prob.em import run_em
 from repro.prob.forward_backward import forward_backward
 from repro.prob.lattice import Lattice, derive_column_count
-from repro.prob.model import ModelParams, ProbConfig
+from repro.prob.model import ModelParams
 from tests.conftest import PAPER_TABLE1, PAPER_TABLE2, build_observation_table
 
 SMALL_DATA = [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.prob.config import ProbConfig
 from repro.prob.lattice import (
     Lattice,
     START,
@@ -12,7 +13,7 @@ from repro.prob.lattice import (
     derive_column_count,
     observed_type_vectors,
 )
-from repro.prob.model import ModelParams, ProbConfig
+from repro.prob.model import ModelParams
 from tests.conftest import PAPER_TABLE1, build_observation_table
 
 

@@ -1,0 +1,53 @@
+"""The lazy-export contract shared by every re-exporting package."""
+
+from __future__ import annotations
+
+import importlib
+import re
+
+import pytest
+
+LAZY_PACKAGES = ("repro", "repro.core", "repro.serve", "repro.relational")
+
+
+@pytest.fixture(params=LAZY_PACKAGES)
+def package(request):
+    return importlib.import_module(request.param)
+
+
+def test_every_export_is_its_defining_modules_object(package):
+    defined_in = {
+        name: module
+        for module, names in package._EXPORTS.items()
+        for name in names
+    }
+    for name in package.__all__:
+        if name in defined_in:
+            source = importlib.import_module(defined_in[name])
+            assert getattr(package, name) is getattr(source, name), name
+        else:
+            assert name in vars(package), name
+
+
+def test_star_import_binds_every_name(package):
+    namespace: dict = {}
+    exec(f"from {package.__name__} import *", namespace)
+    assert set(package.__all__) <= set(namespace)
+
+
+def test_unknown_name_raises_naming_the_package(package):
+    with pytest.raises(AttributeError, match=re.escape(repr(package.__name__))):
+        package.no_such_export
+
+
+def test_dir_lists_globals_and_exports(package):
+    listed = set(dir(package))
+    assert listed == set(vars(package)) | set(package.__all__)
+    assert {"__doc__", "__file__"} <= listed
+
+
+def test_dir_lists_imported_submodules():
+    import repro.core
+    import repro.core.pipeline  # noqa: F401 - binds repro.core.pipeline
+
+    assert "pipeline" in dir(repro.core)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.prob.model import ModelParams, ProbConfig
+from repro.prob.config import ProbConfig
+from repro.prob.model import ModelParams
 from repro.prob.period import expected_length, fit_period, period_mode
 
 

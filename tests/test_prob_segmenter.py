@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.exceptions import EmptyProblemError
 from repro.extraction.observations import ObservationTable
-from repro.prob.model import ProbConfig
+from repro.prob.config import ProbConfig
 from repro.prob.segmenter import ProbabilisticSegmenter
 from tests.conftest import PAPER_TABLE2, build_observation_table
 

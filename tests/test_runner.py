@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.relational.detail_fields
 from repro.cli import main
 from repro.ingest import ingest_pages, write_bundles
@@ -427,3 +432,77 @@ class TestGeneratedTasks:
         assert [p.records for p in dir_result.pages] == [
             p.records for p in gen_result.pages
         ]
+
+
+#: Modules a csp task with ``collect_wire`` must not load: numpy and
+#: the layers such a task never runs.
+UNUSED_BY_CSP = (
+    "numpy",
+    "repro.prob.segmenter",
+    "repro.serve.http",
+    "repro.serve.supervisor",
+    "repro.crawl.crawler",
+    "repro.sitegen.corpus",
+    "repro.reporting.experiment",
+    "repro.wrapper.apply",
+)
+
+#: What a spawned pool worker does: import the worker module, then run
+#: every task of a corpus cold and again warm against one cache dir.
+WORKER_SCRIPT = """
+import json, sys
+from repro.runner.tasks import tasks_from_directory
+from repro.runner.worker import execute_task
+corpus, cache_dir, method = sys.argv[1:]
+runs = []
+for _ in ("cold", "warm"):
+    results = [
+        execute_task(task, cache_dir=cache_dir, collect_wire=True)
+        for task in tasks_from_directory(corpus, method=method)
+    ]
+    runs.append({
+        "statuses": sorted({result.status for result in results}),
+        "misses": sum(result.cache_misses for result in results),
+        "named": any(
+            page.wire["names"] for result in results for page in result.pages
+        ),
+    })
+print(json.dumps({"runs": runs, "modules": sorted(sys.modules)}))
+"""
+
+
+class TestWorkerImportSurface:
+    """A fresh worker interpreter loads only the code its task runs."""
+
+    def run_fresh(self, tmp_path, method):
+        corpus = export_corpus(tmp_path / "corpus", names=("lee", "butler"))
+        src = Path(repro.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                WORKER_SCRIPT,
+                str(corpus),
+                str(tmp_path / "cache"),
+                method,
+            ],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout.splitlines()[-1])
+        cold, warm = report["runs"]
+        assert cold["statuses"] == warm["statuses"] == ["ok"]
+        assert cold["misses"] > 0 and warm["misses"] == 0
+        assert cold["named"] and warm["named"]
+        return set(report["modules"])
+
+    def test_csp_task_loads_no_numpy_and_no_unused_layer(self, tmp_path):
+        loaded = self.run_fresh(tmp_path, "csp")
+        assert sorted(loaded.intersection(UNUSED_BY_CSP)) == []
+
+    def test_prob_task_imports_its_segmenter_on_use(self, tmp_path):
+        loaded = self.run_fresh(tmp_path, "prob")
+        assert {"numpy", "repro.prob.segmenter"} <= loaded
