@@ -8,7 +8,6 @@ from repro.crawl.crawler import (
     SiteCrawl,
     crawl_generated_site,
     crawl_site,
-    extract_links,
 )
 from repro.crawl.discover import (
     DiscoveredSite,
@@ -25,6 +24,7 @@ from repro.crawl.resilient import (
     RetryPolicy,
     url_class,
 )
+from repro.webdoc.html import extract_links
 
 __all__ = [
     "CircuitBreaker",

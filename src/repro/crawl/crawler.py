@@ -36,7 +36,7 @@ from repro.crawl.resilient import (
 from repro.obs import Observability, current as current_obs
 from repro.sitegen.faults import FaultPlan, FaultyTransport
 from repro.sitegen.site import GeneratedSite
-from repro.webdoc.html import EventKind, lex_html
+from repro.webdoc.html import extract_links
 from repro.webdoc.page import Page
 
 __all__ = [
@@ -45,29 +45,7 @@ __all__ = [
     "SiteCrawl",
     "crawl_generated_site",
     "crawl_site",
-    "extract_links",
 ]
-
-
-def extract_links(html: str) -> list[str]:
-    """Every ``href`` target in document order, first occurrence only.
-
-    Fragment-only links are skipped; a URL linked twice (a row's name
-    link and its "More Info" link) is reported once, at its first
-    position — preserving record order.
-    """
-    seen: set[str] = set()
-    links: list[str] = []
-    for event in lex_html(html):
-        if event.kind is not EventKind.TAG_OPEN or event.data != "a":
-            continue
-        href = event.attrs.get("href", "").strip()
-        if not href or href.startswith("#"):
-            continue
-        if href not in seen:
-            seen.add(href)
-            links.append(href)
-    return links
 
 
 @dataclass

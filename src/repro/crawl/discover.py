@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 from repro.core.exceptions import CrawlError
 from repro.crawl.classifier import ClassifierConfig
-from repro.crawl.crawler import CrawlResult, Crawler, extract_links
+from repro.crawl.crawler import CrawlResult, Crawler
 from repro.crawl.fetcher import SiteFetcher
-from repro.webdoc.html import EventKind, lex_html
+from repro.webdoc.html import EventKind, anchor_href, extract_links, lex_html
 from repro.webdoc.page import Page
 
 __all__ = ["DiscoveredSite", "discover_site", "extract_links_with_text", "follow_next_chain"]
@@ -38,7 +38,7 @@ def extract_links_with_text(html: str) -> list[tuple[str, str]]:
 
     Anchor text is the visible text up to the matching ``</a>``
     (whitespace-normalized).  Unlike
-    :func:`~repro.crawl.crawler.extract_links`, the same href may
+    :func:`~repro.webdoc.html.extract_links`, the same href may
     appear more than once when its anchors carry different texts: the
     caller may care about each anchor's text separately.  Only exact
     ``(href, text)`` duplicates are collapsed.
@@ -70,9 +70,7 @@ def extract_links_with_text(html: str) -> list[tuple[str, str]]:
     for event in lex_html(html):
         if event.kind is EventKind.TAG_OPEN and event.data == "a":
             flush()
-            href = event.attrs.get("href", "").strip()
-            if href and not href.startswith("#"):
-                current_href = href
+            current_href = anchor_href(event.attrs)
         elif event.kind is EventKind.TAG_CLOSE and event.data == "a":
             flush()
         elif event.kind is EventKind.TEXT and current_href is not None:

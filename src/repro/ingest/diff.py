@@ -42,7 +42,6 @@ import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.crawl.crawler import extract_links
 from repro.ingest.bundle import (
     INGEST_MANIFEST_NAME,
     IngestConfig,
@@ -53,6 +52,7 @@ from repro.ingest.bundle import (
     page_fingerprint,
 )
 from repro.obs import Observability, current
+from repro.webdoc.html import extract_links
 from repro.webdoc.page import Page
 from repro.webdoc.store import save_sample
 

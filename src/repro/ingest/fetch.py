@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from repro.crawl.crawler import extract_links
 from repro.crawl.resilient import (
     GAP_BUDGET,
     CircuitBreaker,
@@ -45,6 +44,7 @@ from repro.crawl.resilient import (
 )
 from repro.ingest.bundle import page_fingerprint
 from repro.obs import Observability, current
+from repro.webdoc.html import extract_links
 from repro.webdoc.page import Page
 
 __all__ = [

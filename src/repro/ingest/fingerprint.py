@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.webdoc.html import EventKind, lex_html
+from repro.webdoc.html import EventKind, anchor_href, lex_html
 from repro.webdoc.interning import TokenTable
 from repro.webdoc.page import Page
 
@@ -162,14 +162,11 @@ def profile_page(page: Page, space: ShingleSpace) -> PageProfile:
             if name == "form":
                 has_form = True
             elif name == "a":
-                current_href = None
                 current_text = []
-                href = event.attrs.get("href", "").strip()
-                if href and not href.startswith("#"):
-                    current_href = href
-                    if href not in seen_links:
-                        seen_links.add(href)
-                        links.append(href)
+                current_href = anchor_href(event.attrs)
+                if current_href is not None and current_href not in seen_links:
+                    seen_links.add(current_href)
+                    links.append(current_href)
         elif kind is EventKind.TAG_CLOSE:
             atom_ids.append(intern(f"</{event.data}>"))
             if event.data == "a" and current_href is not None:

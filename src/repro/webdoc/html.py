@@ -7,6 +7,11 @@ given markup token.  This module lexes an HTML document into a flat
 sequence of :class:`HtmlEvent` objects: tags, text runs, comments,
 declarations.
 
+One compiled grammar reads every construct for both :func:`lex_html`
+and the crawler's :func:`extract_links`, which builds no events and
+reads attributes only on ``<a>`` tags: the two cannot disagree about
+where a tag, comment or script body ends.
+
 Design notes
 ------------
 * The lexer is tolerant of the malformations common on 2004-era pages:
@@ -27,7 +32,9 @@ from dataclasses import dataclass, field
 
 from repro.core.exceptions import HtmlParseError
 
-__all__ = ["EventKind", "HtmlEvent", "lex_html", "strip_tags"]
+__all__ = [
+    "EventKind", "HtmlEvent", "anchor_href", "extract_links", "lex_html", "strip_tags"
+]
 
 
 class EventKind(enum.Enum):
@@ -71,20 +78,57 @@ class HtmlEvent:
         raise ValueError(f"not a tag event: {self.kind}")
 
 
-_TAG_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9:_.-]*")
-_ATTR_RE = re.compile(
-    r"""\s*([a-zA-Z_:][a-zA-Z0-9:._-]*)      # name
-        (?:\s*=\s*
-            (?:"([^"]*)"                      # double-quoted value
-              |'([^']*)'                      # single-quoted value
-              |([^\s>]*)                      # unquoted value
-            )
-        )?""",
-    re.VERBOSE,
+#: Tag names, lowercased when read.
+_NAME = r"[a-zA-Z][a-zA-Z0-9:_.-]*"
+#: One attribute: a name, then an optional double-quoted, single-quoted or
+#: unquoted value.  A quoted value may hold ``>``.
+_ATTR = r"""\s*([a-zA-Z_:][a-zA-Z0-9:._-]*)
+    (?:\s*=\s*(?:"([^"]*)"|'([^']*)'|([^\s>]*)))?"""
+_ATTR_RE = re.compile(_ATTR, re.VERBOSE)
+#: The whole grammar, tried at each offset: one branch per construct, each a
+#: group named after its event kind that closes last, so ``lastgroup`` names
+#: the construct.  An open tag's attribute span stops before ``/>`` or ``>``
+#: (not one inside a quoted value) or at EOF; its tail cannot fail, so the
+#: first path the engine finds is the only one.  A ``<`` that starts no
+#: construct is literal text.
+_MARKUP = re.compile(
+    rf"""(?P<TAG_OPEN><(?P<name>{_NAME})
+        (?P<attrs>(?:(?!/>)(?:{_ATTR}|[^>]))*)(?P<tail>/?>)?)
+    |(?P<TAG_CLOSE></(?P<close_name>{_NAME})[^>]*>?)
+    |(?P<COMMENT><!--.*?(?:-->|\Z))
+    |(?P<DECLARATION><[!?][^>]*>?)
+    |(?P<TEXT>[^<]+|<)""",
+    re.VERBOSE | re.DOTALL,
 )
+_KINDS = {kind.name: kind for kind in EventKind}
+#: Elements whose content is raw (not markup), each with the close tag that
+#: ends its body.
+_RAW_CLOSE = {
+    name: re.compile(rf"</{name}\s*>", re.IGNORECASE) for name in ("script", "style")
+}
 
-#: Elements whose content is raw (not markup) until the matching close tag.
-_RAW_TEXT_ELEMENTS = frozenset({"script", "style"})
+
+def _require_text(document: object) -> None:
+    if not isinstance(document, str):
+        raise HtmlParseError(f"expected an HTML string, got {type(document).__name__}")
+
+
+def _attrs(document: str, start: int, end: int) -> dict[str, str]:
+    """The attributes in a tag's attribute span; the first of a name wins."""
+    attrs: dict[str, str] = {}
+    if start == end:  # most tags have none; skip building an iterator
+        return attrs
+    for match in _ATTR_RE.finditer(document, start, end):
+        name, *values = match.groups()
+        attrs.setdefault(name.lower(), next((v for v in values if v is not None), ""))
+    return attrs
+
+
+def _raw_body(document: str, name: str, start: int) -> tuple[int, int]:
+    """Where the ``name`` body from ``start`` ends and where its close tag
+    ends; both are EOF when the body is never closed."""
+    close = _RAW_CLOSE[name].search(document, start)
+    return close.span() if close else (len(document), len(document))
 
 
 def lex_html(document: str) -> list[HtmlEvent]:
@@ -93,116 +137,75 @@ def lex_html(document: str) -> list[HtmlEvent]:
     Raises:
         HtmlParseError: if ``document`` is not a string.
     """
-    if not isinstance(document, str):
-        raise HtmlParseError(
-            f"expected an HTML string, got {type(document).__name__}"
-        )
-
+    _require_text(document)
     events: list[HtmlEvent] = []
-    pos = 0
-    length = len(document)
-
+    append = events.append
+    match_at = _MARKUP.match
+    pos, length = 0, len(document)
     while pos < length:
-        lt = document.find("<", pos)
-        if lt == -1:
-            _emit_text(events, document, pos, length)
-            break
-        if lt > pos:
-            _emit_text(events, document, pos, lt)
-        pos = _lex_markup(events, document, lt)
-
+        match = match_at(document, pos)
+        kind, end = match.lastgroup, match.end()
+        if kind == "TAG_OPEN":
+            name = match.group("name").lower()
+            closed = match.group("tail") == "/>"
+            attrs = _attrs(document, *match.span("attrs"))
+            append(HtmlEvent(EventKind.TAG_OPEN, name, pos, end, attrs, closed))
+            if name in _RAW_CLOSE and not closed:
+                body_end, close_end = _raw_body(document, name, end)
+                if body_end > end:
+                    body = document[end:body_end]
+                    append(HtmlEvent(EventKind.RAW, body, end, body_end))
+                if close_end > body_end:
+                    append(HtmlEvent(EventKind.TAG_CLOSE, name, body_end, close_end))
+                end = close_end
+        elif kind == "TAG_CLOSE":
+            name = match.group("close_name").lower()
+            append(HtmlEvent(EventKind.TAG_CLOSE, name, pos, end))
+        else:
+            append(HtmlEvent(_KINDS[kind], match.group(), pos, end))
+        pos = end
     return events
 
 
-def _emit_text(events: list[HtmlEvent], document: str, start: int, end: int) -> None:
-    text = document[start:end]
-    if text:
-        events.append(HtmlEvent(EventKind.TEXT, text, start, end))
+def anchor_href(attrs: dict[str, str]) -> str | None:
+    """The link target of an ``<a>`` tag's ``attrs``, or None.
+
+    The one href rule every link reader shares: the ``href`` value,
+    stripped; empty and fragment-only (``#…``) targets are no link.
+    """
+    href = attrs.get("href", "").strip()
+    return href if href and not href.startswith("#") else None
 
 
-def _lex_markup(events: list[HtmlEvent], document: str, lt: int) -> int:
-    """Lex one markup construct starting at ``lt``; return the next offset."""
-    length = len(document)
-    if document.startswith("<!--", lt):
-        close = document.find("-->", lt + 4)
-        end = length if close == -1 else close + 3
-        events.append(HtmlEvent(EventKind.COMMENT, document[lt:end], lt, end))
-        return end
-    if document.startswith("<!", lt) or document.startswith("<?", lt):
-        close = document.find(">", lt + 2)
-        end = length if close == -1 else close + 1
-        events.append(HtmlEvent(EventKind.DECLARATION, document[lt:end], lt, end))
-        return end
-    if document.startswith("</", lt):
-        match = _TAG_NAME_RE.match(document, lt + 2)
-        if match is None:
-            # "</" followed by junk: treat the "<" as literal text.
-            _emit_text(events, document, lt, lt + 1)
-            return lt + 1
-        name = match.group(0).lower()
-        close = document.find(">", match.end())
-        end = length if close == -1 else close + 1
-        events.append(HtmlEvent(EventKind.TAG_CLOSE, name, lt, end))
-        return end
+def extract_links(document: str) -> list[str]:
+    """Every ``<a>`` link target in document order, first occurrence only.
 
-    match = _TAG_NAME_RE.match(document, lt + 1)
-    if match is None:
-        # A bare "<" in text (e.g. "x < y"): literal text.
-        _emit_text(events, document, lt, lt + 1)
-        return lt + 1
+    Walks the :func:`lex_html` grammar without building events: only
+    ``<a>`` tags have their attributes read, and script/style bodies
+    are skipped exactly as the lexer skips them.  A URL linked twice
+    (a row's name link and its "More Info" link) is reported once, at
+    its first position — preserving record order.
 
-    name = match.group(0).lower()
-    attrs, end, self_closing = _lex_attrs(document, match.end())
-    events.append(
-        HtmlEvent(EventKind.TAG_OPEN, name, lt, end, attrs, self_closing)
-    )
-    if name in _RAW_TEXT_ELEMENTS and not self_closing:
-        return _lex_raw_body(events, document, end, name)
-    return end
-
-
-def _lex_attrs(document: str, pos: int) -> tuple[dict[str, str], int, bool]:
-    """Lex attributes from ``pos`` to the closing ``>`` (or EOF)."""
-    attrs: dict[str, str] = {}
-    length = len(document)
-    self_closing = False
+    Raises:
+        HtmlParseError: if ``document`` is not a string.
+    """
+    _require_text(document)
+    hrefs: list[str] = []
+    match_at = _MARKUP.match
+    pos, length = 0, len(document)
     while pos < length:
-        char = document[pos]
-        if char == ">":
-            return attrs, pos + 1, self_closing
-        if char == "/" and document.startswith("/>", pos):
-            return attrs, pos + 2, True
-        match = _ATTR_RE.match(document, pos)
-        if match is None or match.end() == pos:
-            pos += 1
-            continue
-        name = match.group(1).lower()
-        value = next(
-            (g for g in (match.group(2), match.group(3), match.group(4)) if g is not None),
-            "",
-        )
-        # First occurrence wins, as in browsers.
-        attrs.setdefault(name, value)
+        match = match_at(document, pos)
         pos = match.end()
-    return attrs, length, self_closing
-
-
-def _lex_raw_body(
-    events: list[HtmlEvent], document: str, pos: int, name: str
-) -> int:
-    """Consume a script/style body up to its close tag."""
-    close_re = re.compile(rf"</{re.escape(name)}\s*>", re.IGNORECASE)
-    match = close_re.search(document, pos)
-    if match is None:
-        body_end = tag_end = len(document)
-    else:
-        body_end = match.start()
-        tag_end = match.end()
-    if body_end > pos:
-        events.append(HtmlEvent(EventKind.RAW, document[pos:body_end], pos, body_end))
-    if match is not None:
-        events.append(HtmlEvent(EventKind.TAG_CLOSE, name, body_end, tag_end))
-    return tag_end
+        if match.lastgroup != "TAG_OPEN":
+            continue
+        name = match.group("name").lower()
+        if name == "a":
+            href = anchor_href(_attrs(document, *match.span("attrs")))
+            if href is not None:
+                hrefs.append(href)
+        elif name in _RAW_CLOSE and match.group("tail") != "/>":
+            pos = _raw_body(document, name, pos)[1]
+    return list(dict.fromkeys(hrefs))
 
 
 def strip_tags(document: str) -> str:

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.exceptions import CrawlError, FetchError
+from repro.crawl import extract_links
 from repro.crawl.classifier import ClassifierConfig, PageClassifier, page_similarity
-from repro.crawl.crawler import Crawler, crawl_generated_site, extract_links
+from repro.crawl.crawler import Crawler, crawl_generated_site
 from repro.crawl.fetcher import SiteFetcher
 from repro.sitegen.corpus import build_site
 from repro.webdoc.page import Page

@@ -1,12 +1,46 @@
-"""Unit + property tests for the HTML lexer."""
+"""Unit, property and golden tests for the HTML lexer.
+
+``tests/data/lexer_golden.json`` pins a digest of every event
+(kind, data, offsets, attributes in order, self-closing flag) that
+:func:`lex_html` produces over the paper corpus and one seeded mixed
+crawl.  Token digests elsewhere do not see attributes, comments,
+declarations or raw bodies; this file does.  If an intentional change
+to the grammar invalidates it, re-record with the recipe in the JSON
+file's ``note`` field and say so in the change description.
+"""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.exceptions import HtmlParseError
-from repro.webdoc.html import EventKind, lex_html, strip_tags
+from repro.runner.cache import fingerprint
+from repro.sitegen.corpus import TABLE4_ORDER, build_site
+from repro.sitegen.mixed import MixedCorpusSpec, build_mixed_corpus
+from repro.webdoc.html import (
+    EventKind,
+    anchor_href,
+    extract_links,
+    lex_html,
+    strip_tags,
+)
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "lexer_golden.json"
+
+#: Pieces of HTML that stress every branch of the grammar: comments,
+#: declarations, raw-text elements in mixed case, quotes around ``>``,
+#: ``/>`` tails, anchors in both cases, fragments and non-ASCII text.
+HTML_FRAGMENTS = [
+    "<", ">", "/", "!", "--", "<!--", "-->", "?", '"', "'", "=", " ", "\n",
+    "a", "A", "href", "HREF", "script", "SCRIPT", "style", "</ScRiPt >",
+    "<a", "</a>", "#", "/>", "<!DOCTYPE", "<?xml", "é", "x.html",
+    "<script>", "<style>", " href=", '<a href="y.html">',
+]
+html_soup = st.lists(st.sampled_from(HTML_FRAGMENTS), max_size=40).map("".join)
 
 
 def kinds(document):
@@ -139,12 +173,7 @@ class TestOffsets:
             cursor = event.end
         assert cursor == len(document)
 
-    @given(
-        st.text(
-            alphabet=st.sampled_from(list("<>ab c/=\"'!-")),
-            max_size=60,
-        )
-    )
+    @given(html_soup)
     def test_spans_are_monotone_on_arbitrary_soup(self, soup):
         events = lex_html(soup)
         cursor = 0
@@ -155,6 +184,48 @@ class TestOffsets:
         assert cursor <= len(soup)
 
 
+def links_from_events(document):
+    """The link rule applied to the lexer's ``<a>`` open events."""
+    hrefs = [
+        anchor_href(event.attrs)
+        for event in lex_html(document)
+        if event.kind is EventKind.TAG_OPEN and event.data == "a"
+    ]
+    return list(dict.fromkeys(href for href in hrefs if href is not None))
+
+
+class TestExtractLinks:
+    """The link scan reads exactly the anchors the lexer sees."""
+
+    @settings(max_examples=500)
+    @given(html_soup)
+    def test_matches_anchor_events(self, soup):
+        assert extract_links(soup) == links_from_events(soup)
+
+    @pytest.mark.parametrize(
+        "document, links",
+        [
+            ('<!-- <a href="c.html"> --><a href="x.html">', ["x.html"]),
+            ('<script>w("<a href=s.html>")</SCRIPT ><a href="x.html">', ["x.html"]),
+            ('<script>var a;<a href="s.html">', []),
+            ('<script src="s.js"\n<a href="s.html">x</a>', []),
+            ('<a title="a > b" href="x.html">', ["x.html"]),
+            ("<A HREF=x.html>", ["x.html"]),
+            ('<a href="first.html" href="second.html">', ["first.html"]),
+            ("<a href=x/>", ["x/"]),
+            ('<a href="  x.html \n">', ["x.html"]),
+            ('<a href="#top"><a href=" "><a>', []),
+        ],
+    )
+    def test_pinned_examples(self, document, links):
+        assert extract_links(document) == links
+        assert links_from_events(document) == links
+
+    def test_non_string_raises(self):
+        with pytest.raises(HtmlParseError):
+            extract_links(None)  # type: ignore[arg-type]
+
+
 class TestStripTags:
     def test_visible_text_only(self):
         html = "<html><b>John</b>&amp;<i>Mary</i><script>x()</script></html>"
@@ -162,3 +233,76 @@ class TestStripTags:
 
     def test_whitespace_collapsed(self):
         assert strip_tags("<p>  a  \n  b  </p>") == "a b"
+
+
+def lex_digest(pages) -> str:
+    """Digest of every event of every page, attributes in order."""
+    return fingerprint(
+        "lex_html",
+        [
+            (
+                page.url,
+                [
+                    (
+                        event.kind.value,
+                        event.data,
+                        event.start,
+                        event.end,
+                        list(event.attrs.items()),
+                        event.self_closing,
+                    )
+                    for event in lex_html(page.html)
+                ],
+            )
+            for page in pages
+        ],
+    )
+
+
+def corpus_pages(site_name: str):
+    """Every list and detail page of one paper-corpus site."""
+    site = build_site(site_name)
+    pages = list(site.list_pages)
+    for index in range(len(site.list_pages)):
+        pages.extend(site.detail_pages(index))
+    return pages
+
+
+def current_digests(mixed_seed: int, mixed_sites: int) -> dict:
+    """The golden file's digests, computed by the lexer under test."""
+    return {
+        "corpus": {name: lex_digest(corpus_pages(name)) for name in TABLE4_ORDER},
+        "mixed": {
+            str(generation): lex_digest(
+                build_mixed_corpus(
+                    MixedCorpusSpec(
+                        sites=mixed_sites, seed=mixed_seed, generation=generation
+                    )
+                ).pages
+            )
+            for generation in (0, 1)
+        },
+    }
+
+
+class TestLexerGolden:
+    """Events are byte-identical to the recorded lexer's, page for page."""
+
+    def test_events_match_golden(self):
+        golden = json.loads(GOLDEN_PATH.read_text())
+        current = current_digests(golden["mixed_seed"], golden["mixed_sites"])
+        assert current["corpus"] == golden["corpus"]
+        assert current["mixed"] == golden["mixed"]
+
+    def test_golden_covers_corpus_and_both_generations(self):
+        golden = json.loads(GOLDEN_PATH.read_text())
+        assert list(golden["corpus"]) == list(TABLE4_ORDER)
+        assert set(golden["mixed"]) == {"0", "1"}
+        assert golden["mixed_sites"] == 40
+
+
+if __name__ == "__main__":
+    # Re-record the golden digests (keeps the note and the crawl spec).
+    golden = json.loads(GOLDEN_PATH.read_text())
+    golden.update(current_digests(golden["mixed_seed"], golden["mixed_sites"]))
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n")

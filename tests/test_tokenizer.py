@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.tokens.tokenizer import (
     DEFAULT_ALLOWED_PUNCT,
@@ -14,6 +14,7 @@ from repro.tokens.tokenizer import (
     tokenize_text,
 )
 from repro.tokens.types import TokenType
+from repro.webdoc.entities import decode_entities
 from repro.webdoc.page import Page
 
 
@@ -199,10 +200,14 @@ class TestProperties:
             assert token.text
 
     @given(st.text(max_size=100))
+    @example("&gt")
+    @example("a&nbsp;b")
+    @example("&#62;")
     def test_non_separator_characters_preserved_in_order(self, text):
-        # Joining all token texts reproduces the input minus whitespace.
+        # Joining all token texts reproduces the entity-decoded input
+        # minus whitespace: the tokenizer decodes before it splits.
         joined = "".join(t.text for t in tokenize_text(text))
-        expected = "".join(ch for ch in text if not ch.isspace())
+        expected = "".join(ch for ch in decode_entities(text) if not ch.isspace())
         assert joined == expected
 
     @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=60))
