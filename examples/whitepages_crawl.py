@@ -1,12 +1,12 @@
 """End-to-end hidden-web extraction: crawl, classify, segment, merge.
 
 This is the paper's Section 3 vision in one script: starting from a
-site's list pages, the crawler follows every link, the classifier
-separates detail pages from advertisements, the segmenter aligns list
-rows with their detail pages, and finally the *two views of each
-record* (list row + detail page) are merged into one combined record —
-"we can potentially combine the two views to get a more complete view
-of the record".
+site's list pages, the crawler follows every link and tells detail
+pages from advertisements by template fingerprint, the segmenter
+aligns list rows with their detail pages, and finally the *two views
+of each record* (list row + detail page) are merged into one combined
+record — "we can potentially combine the two views to get a more
+complete view of the record".
 
 Run:  python examples/whitepages_crawl.py
 """
@@ -14,7 +14,7 @@ Run:  python examples/whitepages_crawl.py
 from __future__ import annotations
 
 from repro import SegmentationPipeline, build_site
-from repro.crawl import crawl_generated_site
+from repro.crawl import crawl_site
 from repro.webdoc.html import strip_tags
 
 
@@ -23,19 +23,19 @@ def main() -> None:
     print(f"crawling {site.spec.title!r} "
           f"({len(site.list_pages)} list pages)...")
 
-    list_pages, detail_pages_per_list, crawl_results = crawl_generated_site(site)
-    for result in crawl_results:
+    crawl = crawl_site(site)
+    for result in crawl.results:
         print(f"  {result.list_page.url}: "
               f"{len(result.detail_pages)} detail pages, "
               f"{len(result.other_pages)} other pages, "
               f"{len(result.dead_links)} dead links")
 
     pipeline = SegmentationPipeline("csp")
-    run = pipeline.segment_site(list_pages, detail_pages_per_list)
+    run = pipeline.segment_site(crawl.list_pages, crawl.detail_pages_per_list)
 
     # Merge the two views of the first few records of page 0.
     segmentation = run.pages[0].segmentation
-    details = detail_pages_per_list[0]
+    details = crawl.detail_pages_per_list[0]
     print("\ncombined records (list view + detail view):")
     for record in segmentation.records[:5]:
         list_view = " | ".join(record.extract_texts)

@@ -1,51 +1,31 @@
 """Site navigation: fetching, crawling, list/detail classification,
-and the resilient retrieval layer (retries, budgets, circuit breaking)."""
+and the resilient retrieval layer (retries, budgets, circuit breaking).
 
-from repro.crawl.classifier import ClassifierConfig, PageClassifier, page_similarity
-from repro.crawl.crawler import (
-    CrawlResult,
-    Crawler,
-    SiteCrawl,
-    crawl_generated_site,
-    crawl_site,
-)
-from repro.crawl.discover import (
-    DiscoveredSite,
-    discover_site,
-    extract_links_with_text,
-    follow_next_chain,
-)
-from repro.crawl.fetcher import DirectorySite, SiteFetcher
-from repro.crawl.resilient import (
-    CircuitBreaker,
-    CrawlBudget,
-    CrawlHealth,
-    ResilientFetcher,
-    RetryPolicy,
-    url_class,
-)
-from repro.webdoc.html import extract_links
+The names below load on first use (:mod:`repro._lazy`): importing
+:mod:`~repro.crawl.resilient` alone (the serving and fetch-ingest
+paths do) does not load the crawler or the ingest fingerprint pass it
+classifies pages with.
+"""
 
-__all__ = [
-    "CircuitBreaker",
-    "ClassifierConfig",
-    "CrawlBudget",
-    "CrawlHealth",
-    "CrawlResult",
-    "Crawler",
-    "DirectorySite",
-    "DiscoveredSite",
-    "PageClassifier",
-    "ResilientFetcher",
-    "RetryPolicy",
-    "SiteCrawl",
-    "SiteFetcher",
-    "crawl_generated_site",
-    "crawl_site",
-    "discover_site",
-    "extract_links",
-    "extract_links_with_text",
-    "follow_next_chain",
-    "page_similarity",
-    "url_class",
-]
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.crawl.crawler": ("CrawlResult", "Crawler", "SiteCrawl", "crawl_site"),
+    "repro.crawl.discover": (
+        "DiscoveredSite",
+        "discover_site",
+        "follow_next_chain",
+    ),
+    "repro.crawl.fetcher": ("DirectorySite", "SiteFetcher"),
+    "repro.crawl.resilient": (
+        "CircuitBreaker",
+        "CrawlBudget",
+        "CrawlHealth",
+        "ResilientFetcher",
+        "RetryPolicy",
+        "url_class",
+    ),
+    "repro.webdoc.html": ("extract_links",),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -3,20 +3,22 @@
 Automates the step the paper performed by hand ("From each site, we
 randomly selected two list pages and manually downloaded the detail
 pages"): given a list page, follow every link in document order,
-fetch what resolves, and use the
-:class:`~repro.crawl.classifier.PageClassifier` to separate the detail
-pages from advertisements and other chrome targets.  Detail pages are
-returned in link order, which is the record order the segmenters
-assume.
+fetch what resolves, and separate the detail pages from
+advertisements and other chrome targets the way Section 6.1 proposes
+— "the detail pages, generated from the same template, will look
+similar to one another".  The fetched pages are fingerprinted
+(:mod:`repro.ingest.fingerprint`) and clustered by template
+(:mod:`repro.ingest.cluster`), and the largest cluster is the detail
+pages.  Detail pages are returned in link order, which is the record
+order the segmenters assume.
 
 Failure handling is two-tier: :meth:`Crawler.try_collect` records a
 degenerate page (nothing fetchable) in the result instead of raising,
-and :func:`crawl_generated_site` crawls every list page even when some
-fail — one dead results page quarantines that page, not the site.
-:func:`crawl_site` is the fault-aware variant: it routes every fetch
-through a :class:`~repro.crawl.resilient.ResilientFetcher` (optionally
-over a :class:`~repro.sitegen.faults.FaultPlan` transport) and returns
-a :class:`SiteCrawl` carrying the
+and :func:`crawl_site` crawls every list page even when some fail —
+one dead results page quarantines that page, not the site.  It routes
+every fetch through a :class:`~repro.crawl.resilient.ResilientFetcher`
+(optionally over a :class:`~repro.sitegen.faults.FaultPlan` transport)
+and returns a :class:`SiteCrawl` carrying the
 :class:`~repro.crawl.resilient.CrawlHealth` report.
 """
 
@@ -25,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.exceptions import CrawlError
-from repro.crawl.classifier import ClassifierConfig, PageClassifier
 from repro.crawl.fetcher import SiteFetcher
 from repro.crawl.resilient import (
     CrawlBudget,
@@ -33,6 +34,8 @@ from repro.crawl.resilient import (
     ResilientFetcher,
     RetryPolicy,
 )
+from repro.ingest.cluster import cluster_profiles
+from repro.ingest.fingerprint import profile_pages
 from repro.obs import Observability, current as current_obs
 from repro.sitegen.faults import FaultPlan, FaultyTransport
 from repro.sitegen.site import GeneratedSite
@@ -43,7 +46,6 @@ __all__ = [
     "CrawlResult",
     "Crawler",
     "SiteCrawl",
-    "crawl_generated_site",
     "crawl_site",
 ]
 
@@ -77,19 +79,17 @@ class CrawlResult:
 class Crawler:
     """Fetch and classify everything a list page links to."""
 
-    def __init__(
-        self,
-        fetcher: SiteFetcher | ResilientFetcher,
-        classifier_config: ClassifierConfig | None = None,
-    ) -> None:
+    def __init__(self, fetcher: SiteFetcher | ResilientFetcher) -> None:
         self.fetcher = fetcher
-        self.classifier = PageClassifier(classifier_config)
 
     def try_collect(self, list_page: Page) -> CrawlResult:
         """Crawl one list page, recording failure instead of raising.
 
         A page whose links are all dead comes back with ``error`` set
-        and empty page lists — a quarantinable partial result.
+        and empty page lists — a quarantinable partial result.  The
+        largest template cluster of the fetched pages is the detail
+        pages; a tie goes to the cluster whose first page comes first
+        in link order.  Both parts keep link order.
         """
         result = CrawlResult(list_page=list_page)
         fetched: list[Page] = []
@@ -106,9 +106,13 @@ class Crawler:
                 f"list page {list_page.url!r} links to no fetchable pages"
             )
             return result
-        details, others = self.classifier.split_details(fetched)
-        result.detail_pages = details
-        result.other_pages = others
+        clusters = cluster_profiles(profile_pages(fetched))
+        details = set(max(clusters, key=len).members)
+        for index, page in enumerate(fetched):
+            if index in details:
+                result.detail_pages.append(page)
+            else:
+                result.other_pages.append(page)
         return result
 
     def collect(self, list_page: Page) -> CrawlResult:
@@ -140,30 +144,8 @@ class SiteCrawl:
     health: CrawlHealth = field(default_factory=CrawlHealth)
 
 
-def crawl_generated_site(
-    site: GeneratedSite,
-    classifier_config: ClassifierConfig | None = None,
-) -> tuple[list[Page], list[list[Page]], list[CrawlResult]]:
-    """Crawl every list page of a simulator site.
-
-    Returns the tuple the segmentation pipeline wants — (list pages,
-    detail pages per list page) — plus the raw crawl results for
-    inspection.  A list page whose links are all dead no longer aborts
-    the site: its result carries ``error`` and empty detail pages.
-    """
-    fetcher = SiteFetcher(site)
-    crawler = Crawler(fetcher, classifier_config)
-    results = [crawler.try_collect(page) for page in site.list_pages]
-    return (
-        list(site.list_pages),
-        [result.detail_pages for result in results],
-        results,
-    )
-
-
 def crawl_site(
     site: GeneratedSite,
-    classifier_config: ClassifierConfig | None = None,
     *,
     fault_plan: FaultPlan | None = None,
     retry: RetryPolicy | None = None,
@@ -189,7 +171,7 @@ def crawl_site(
     obs = obs if obs is not None else current_obs()
     transport = site if fault_plan is None else FaultyTransport(site, fault_plan)
     fetcher = ResilientFetcher(transport, retry=retry, budget=budget, obs=obs)
-    crawler = Crawler(fetcher, classifier_config)
+    crawler = Crawler(fetcher)
     crawl = SiteCrawl(health=fetcher.health)
 
     with obs.span(

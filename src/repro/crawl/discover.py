@@ -24,73 +24,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.exceptions import CrawlError
-from repro.crawl.classifier import ClassifierConfig
 from repro.crawl.crawler import CrawlResult, Crawler
 from repro.crawl.fetcher import SiteFetcher
-from repro.webdoc.html import EventKind, anchor_href, extract_links, lex_html
+from repro.ingest.fingerprint import ShingleSpace, profile_page
+from repro.webdoc.html import extract_links
 from repro.webdoc.page import Page
 
-__all__ = ["DiscoveredSite", "discover_site", "extract_links_with_text", "follow_next_chain"]
-
-
-def extract_links_with_text(html: str) -> list[tuple[str, str]]:
-    """``(href, anchor text)`` pairs in document order.
-
-    Anchor text is the visible text up to the matching ``</a>``
-    (whitespace-normalized).  Unlike
-    :func:`~repro.webdoc.html.extract_links`, the same href may
-    appear more than once when its anchors carry different texts: the
-    caller may care about each anchor's text separately.  Only exact
-    ``(href, text)`` duplicates are collapsed.
-
-    Real-crawl HTML is messy, so the walk is defensive:
-
-    - a new ``<a>`` before the previous one closed implicitly closes
-      it (its pair is emitted with the text seen so far);
-    - an anchor still open at end of input is emitted, not dropped;
-    - fragment-only (``#…``) and empty hrefs never produce pairs, and
-      neither do anchors whose visible text is empty.
-    """
-    pairs: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    current_href: str | None = None
-    current_text: list[str] = []
-
-    def flush() -> None:
-        nonlocal current_href, current_text
-        if current_href is not None:
-            text = " ".join(" ".join(current_text).split())
-            pair = (current_href, text)
-            if text and pair not in seen:
-                seen.add(pair)
-                pairs.append(pair)
-        current_href = None
-        current_text = []
-
-    for event in lex_html(html):
-        if event.kind is EventKind.TAG_OPEN and event.data == "a":
-            flush()
-            current_href = anchor_href(event.attrs)
-        elif event.kind is EventKind.TAG_CLOSE and event.data == "a":
-            flush()
-        elif event.kind is EventKind.TEXT and current_href is not None:
-            current_text.append(event.data)
-    flush()
-    return pairs
+__all__ = ["DiscoveredSite", "discover_site", "follow_next_chain"]
 
 
 def follow_next_chain(
     fetcher: SiteFetcher, start: Page, max_pages: int = 10
 ) -> list[Page]:
-    """The page plus everything its "Next" links lead to, in order."""
+    """The page plus everything its "Next" links lead to, in order.
+
+    The Next link is the fingerprint pass's
+    :attr:`~repro.ingest.fingerprint.PageProfile.next_url`.
+    """
     chain = [start]
     seen = {start.url}
     while len(chain) < max_pages:
-        next_url = None
-        for href, text in extract_links_with_text(chain[-1].html):
-            if text.strip().lower() == "next":
-                next_url = href
-                break
+        next_url = profile_page(chain[-1], ShingleSpace()).next_url
         if next_url is None or next_url in seen:
             break
         page = fetcher.try_fetch(next_url)
@@ -123,7 +77,6 @@ def discover_site(
     index_url: str,
     min_details: int = 2,
     max_chain: int = 10,
-    classifier_config: ClassifierConfig | None = None,
 ) -> DiscoveredSite:
     """Navigate from the entry page to the pipeline's inputs.
 
@@ -133,14 +86,13 @@ def discover_site(
         min_details: a chain page must link to at least this many
             same-template pages to count as a list page.
         max_chain: Next-chain length cap.
-        classifier_config: detail-classifier settings.
 
     Raises:
         CrawlError: no link off the entry page leads to a valid
             results chain.
     """
     index = fetcher.fetch(index_url)
-    crawler = Crawler(fetcher, classifier_config)
+    crawler = Crawler(fetcher)
 
     for url in extract_links(index.html):
         start = fetcher.try_fetch(url)

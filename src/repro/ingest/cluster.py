@@ -15,11 +15,13 @@ must satisfy two requirements from the front door's contract:
 
 The clusterer is index-fast: an inverted shingle→cluster index finds
 the candidate clusters for each page in time proportional to the
-page's fingerprint size, never by scanning all pages pairwise (the
-difference from ``crawl/classifier.py``, which this module supersedes
-at crawl scale).  All tie-breaks go to the lowest cluster id, and
-cluster ids follow input order, so the result is a pure function of
-the input sequence.
+page's fingerprint size, never by scanning all pages pairwise.  All
+tie-breaks go to the lowest cluster id, and cluster ids follow input
+order, so the result is a pure function of the input sequence.
+
+The crawler (:class:`~repro.crawl.crawler.Crawler`) clusters the pages
+one list page links to the same way and takes the largest cluster as
+the detail pages.
 """
 
 from __future__ import annotations

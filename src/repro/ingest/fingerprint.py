@@ -9,8 +9,7 @@ for every text run — and the atom sequence is shingled into k-grams.
 Two pages from the same template then share most of their shingle
 *sets*, and template grouping becomes set similarity.
 
-Unlike ``crawl/classifier.py``'s pairwise Jaccard over token-text
-sets, fingerprints are built for index-fast comparison: atoms and
+Fingerprints are built for index-fast comparison: atoms and
 shingles are interned through a corpus-scoped
 :class:`~repro.webdoc.interning.TokenTable` (PR 7's dense-int
 interning), so a page's fingerprint is a sorted tuple of small ints
@@ -23,6 +22,11 @@ classifier (:mod:`repro.ingest.classify`) needs: distinct outgoing
 links in first-occurrence order (= record order on a list page), the
 "Next" link if any, whether the page contains a form, and how
 repetitive the structure is.
+
+The crawler uses the same pass: :class:`~repro.crawl.crawler.Crawler`
+clusters the pages a list page links to by fingerprint (the paper's
+Section 6.1 detail-page finder), and
+:func:`~repro.crawl.discover.follow_next_chain` walks ``next_url``.
 """
 
 from __future__ import annotations
@@ -62,7 +66,9 @@ class PageProfile:
             (fragment-only and empty hrefs skipped).  On a list page
             first-occurrence order is record order.
         next_url: the href of the first anchor whose text is "Next"
-            (case-insensitive), if any — the paper's pager signal.
+            (case-insensitive), if any — the paper's pager signal.  An
+            anchor ends at ``</a>``, at the next ``<a>`` or at end of
+            input.
         has_form: whether the page contains a ``<form>`` tag (search
             entry points, not data pages).
         text_runs: number of non-whitespace text runs, a cheap size
@@ -154,6 +160,15 @@ def profile_page(page: Page, space: ShingleSpace) -> PageProfile:
     current_text: list[str] = []
     intern = space.atoms.intern
 
+    def close_anchor() -> None:
+        # An anchor ends at ``</a>``, at the next ``<a>`` (messy markup
+        # leaves anchors unclosed) or at end of input.
+        nonlocal next_url
+        if next_url is None and current_href is not None:
+            text = " ".join(" ".join(current_text).split())
+            if text.lower() == "next":
+                next_url = current_href
+
     for event in lex_html(page.html):
         kind = event.kind
         if kind is EventKind.TAG_OPEN:
@@ -162,6 +177,7 @@ def profile_page(page: Page, space: ShingleSpace) -> PageProfile:
             if name == "form":
                 has_form = True
             elif name == "a":
+                close_anchor()
                 current_text = []
                 current_href = anchor_href(event.attrs)
                 if current_href is not None and current_href not in seen_links:
@@ -169,11 +185,8 @@ def profile_page(page: Page, space: ShingleSpace) -> PageProfile:
                     links.append(current_href)
         elif kind is EventKind.TAG_CLOSE:
             atom_ids.append(intern(f"</{event.data}>"))
-            if event.data == "a" and current_href is not None:
-                if next_url is None:
-                    text = " ".join(" ".join(current_text).split())
-                    if text.lower() == "next":
-                        next_url = current_href
+            if event.data == "a":
+                close_anchor()
                 current_href = None
         elif kind is EventKind.TEXT:
             if not event.data.isspace():
@@ -181,6 +194,7 @@ def profile_page(page: Page, space: ShingleSpace) -> PageProfile:
                 text_runs += 1
                 if current_href is not None:
                     current_text.append(event.data)
+    close_anchor()
 
     k = space.k
     if not atom_ids:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 __all__ = ["TaskRecord", "RunManifest", "COMPLETED_STATUSES"]
 
@@ -151,25 +151,3 @@ class RunManifest:
                     continue
             done.add(task_id)
         return done
-
-    @staticmethod
-    def records_from(entries: Iterable[dict[str, Any]]) -> list[TaskRecord]:
-        """Parse ``task`` entries back into :class:`TaskRecord`."""
-        records = []
-        for entry in entries:
-            if entry.get("type") != "task":
-                continue
-            records.append(
-                TaskRecord(
-                    task_id=entry.get("task_id", ""),
-                    fingerprint=entry.get("fingerprint", ""),
-                    status=entry.get("status", ""),
-                    duration_s=float(entry.get("duration_s", 0.0)),
-                    cache_hits=int(entry.get("cache_hits", 0)),
-                    cache_misses=int(entry.get("cache_misses", 0)),
-                    records=int(entry.get("records", 0)),
-                    digest=entry.get("digest", ""),
-                    error=entry.get("error"),
-                )
-            )
-        return records

@@ -93,8 +93,9 @@ class PageTemplate:
 
         Greedy left-to-right search for the template token texts in
         order.  Returns the matched positions, or ``None`` if the
-        template does not fit the page.  Used by the page classifier to
-        test whether a fetched page was generated from this template.
+        template does not fit the page.  The wrapper
+        (:mod:`repro.wrapper.apply`) uses the positions to cut the
+        table slot out of a page it has not seen.
         """
         positions: list[int] = []
         cursor = 0
@@ -107,23 +108,3 @@ class PageTemplate:
             positions.append(found)
             cursor = found + 1
         return positions
-
-    def coverage(self, tokens: list[Token]) -> float:
-        """Fraction of template tokens locatable on an unseen page.
-
-        A cheap template-similarity score in [0, 1]; the classifier
-        uses it to group pages generated from the same template.
-        """
-        if not self.aligned:
-            return 0.0
-        token_texts = [token.text for token in tokens]
-        cursor = 0
-        matched = 0
-        for template_text in self.token_texts:
-            try:
-                found = token_texts.index(template_text, cursor)
-            except ValueError:
-                continue
-            matched += 1
-            cursor = found + 1
-        return matched / len(self.aligned)

@@ -31,8 +31,8 @@ class Page:
             pipeline never fetches anything over a network.
         html: the raw HTML payload.
         kind: optional role annotation (``"list"`` / ``"detail"`` /
-            ``"other"``); filled in by the crawler's classifier or by
-            the site generator.  Purely informational.
+            ``"other"``); filled in by whoever builds the page (the
+            site generator, a serve request).  Purely informational.
     """
 
     url: str
@@ -42,9 +42,6 @@ class Page:
         default=None, repr=False, compare=False
     )
     _text_tokens: "list[Token] | None" = field(
-        default=None, repr=False, compare=False
-    )
-    _token_text_set: "frozenset[str] | None" = field(
         default=None, repr=False, compare=False
     )
     _token_source: "Callable[[Page], list[Token]] | None" = field(
@@ -88,25 +85,10 @@ class Page:
             ]
         return self._text_tokens
 
-    def token_text_set(self) -> "frozenset[str]":
-        """The set of distinct token texts on the page (cached).
-
-        Pairwise page-similarity scoring intersects these sets for
-        every page pair; caching the set here keeps that O(n²) loop
-        from re-tokenizing (and re-building the set for) each page on
-        every call.
-        """
-        if self._token_text_set is None:
-            self._token_text_set = frozenset(
-                token.text for token in self.tokens()
-            )
-        return self._token_text_set
-
     def invalidate_cache(self) -> None:
         """Drop the cached token streams (after mutating ``html``)."""
         self._tokens = None
         self._text_tokens = None
-        self._token_text_set = None
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         role = f" [{self.kind}]" if self.kind else ""

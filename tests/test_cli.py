@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import io
 import json
-import tomllib
+import re
 from pathlib import Path
 
 import pytest
@@ -74,11 +74,16 @@ class TestVersion:
         assert repro.__version__ in capsys.readouterr().out
 
     def test_version_matches_pyproject(self):
+        # tomllib is 3.11+; the package supports 3.10, so read the
+        # [project] table's version line directly.
         pyproject = (
             Path(__file__).resolve().parent.parent / "pyproject.toml"
+        ).read_text(encoding="utf-8")
+        table = re.search(
+            r"^\[project\]$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S
         )
-        metadata = tomllib.loads(pyproject.read_text(encoding="utf-8"))
-        assert repro.__version__ == metadata["project"]["version"]
+        version = re.search(r'^version = "([^"]+)"$', table.group(1), re.M)
+        assert repro.__version__ == version.group(1)
 
 
 class TestSites:

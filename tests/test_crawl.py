@@ -1,4 +1,4 @@
-"""Tests for the crawler, fetcher and page classifier."""
+"""Tests for the crawler, its fetcher and its detail-page split."""
 
 from __future__ import annotations
 
@@ -6,11 +6,22 @@ import pytest
 
 from repro.core.exceptions import CrawlError, FetchError
 from repro.crawl import extract_links
-from repro.crawl.classifier import ClassifierConfig, PageClassifier, page_similarity
-from repro.crawl.crawler import Crawler, crawl_generated_site
+from repro.crawl.crawler import Crawler, crawl_site
 from repro.crawl.fetcher import SiteFetcher
-from repro.sitegen.corpus import build_site
+from repro.ingest.cluster import cluster_profiles
+from repro.ingest.fingerprint import profile_pages
+from repro.sitegen.corpus import TABLE4_ORDER, build_site
+from repro.sitegen.faults import FaultPlan
 from repro.webdoc.page import Page
+
+#: Every corpus site crawled pristine (id = site name) and through a
+#: transient-fault plan that the retry layer absorbs.
+CRAWL_CASES = [pytest.param(name, None, id=name) for name in TABLE4_ORDER] + [
+    pytest.param(
+        name, FaultPlan(seed=42, transient_rate=0.3), id=f"{name}-transient"
+    )
+    for name in TABLE4_ORDER
+]
 
 
 class TestExtractLinks:
@@ -103,60 +114,73 @@ class TestFetcher:
             SiteFetcher(build_site("ohio"), negative_max_age=0)
 
 
+def _template_clusters(pages: list[Page]) -> list[list[str]]:
+    """Group pages the way the crawler does: by template fingerprint."""
+    clusters = cluster_profiles(profile_pages(pages))
+    return [[pages[i].url for i in cluster.members] for cluster in clusters]
+
+
+def _list_page_linking(pages: list[Page]) -> Page:
+    anchors = " ".join(f'<a href="{page.url}">{page.url}</a>' for page in pages)
+    return Page("list.html", f"<p>{anchors}</p>", kind="list")
+
+
 class TestClassifier:
     def test_same_template_pages_similar(self):
         site = build_site("ohio")
-        details = site.detail_pages(0)
-        assert page_similarity(details[0], details[1]) > 0.5
+        details = site.detail_pages(0)[:2]
+        assert _template_clusters(details) == [[p.url for p in details]]
 
     def test_different_template_pages_dissimilar(self):
         site = build_site("ohio")
         detail = site.detail_pages(0)[0]
         ad = site.fetch("ohio-ad0.html")
-        assert page_similarity(detail, ad) < 0.3
+        assert _template_clusters([detail, ad]) == [[detail.url], [ad.url]]
 
     def test_identical_pages_similarity_one(self):
         page = Page("x", "<p>same content</p>")
-        assert page_similarity(page, page) == 1.0
+        assert _template_clusters([page, page]) == [["x", "x"]]
 
     def test_clusters_split_details_from_ads(self):
         site = build_site("ohio")
         pages = site.detail_pages(0) + [site.fetch("ohio-ad0.html")]
-        clusters = PageClassifier().clusters(pages)
-        sizes = sorted(len(cluster) for cluster in clusters)
+        sizes = sorted(len(cluster) for cluster in _template_clusters(pages))
         assert sizes == [1, 10]
 
     def test_split_details_preserves_order(self):
         site = build_site("ohio")
         details = site.detail_pages(0)
         mixed = [site.fetch("ohio-ad0.html")] + details
-        found, others = PageClassifier().split_details(mixed)
-        assert [p.url for p in found] == [p.url for p in details]
-        assert len(others) == 1
+        result = Crawler(SiteFetcher(site)).try_collect(
+            _list_page_linking(mixed)
+        )
+        assert [p.url for p in result.detail_pages] == [p.url for p in details]
+        assert [p.url for p in result.other_pages] == ["ohio-ad0.html"]
 
     def test_empty_input(self):
-        details, others = PageClassifier().split_details([])
-        assert details == [] and others == []
-
-    def test_threshold_config(self):
-        # An absurd threshold keeps everything separate.
         site = build_site("ohio")
-        pages = site.detail_pages(0)[:3]
-        clusters = PageClassifier(ClassifierConfig(similarity_threshold=1.01)).clusters(pages)
-        assert len(clusters) == 3
+        result = Crawler(SiteFetcher(site)).try_collect(_list_page_linking([]))
+        assert result.detail_pages == [] and result.other_pages == []
 
-    def test_one_tokenization_pass_per_page(self, monkeypatch):
-        # Regression: the O(n²) clustering loop used to rebuild both
-        # pages' token-text sets on every pairwise call.  Each page
-        # must now be tokenized exactly once, however many comparisons
-        # it participates in.
+
+class TestCrawler:
+    @pytest.mark.parametrize("name, fault_plan", CRAWL_CASES)
+    def test_crawl_recovers_detail_pages_in_order(self, name, fault_plan):
+        site = build_site(name)
+        crawl = crawl_site(site, fault_plan=fault_plan)
+        assert len(crawl.results) == len(site.list_pages)
+        for page_index, result in enumerate(crawl.results):
+            expected = [p.url for p in site.detail_pages(page_index)]
+            assert [p.url for p in result.detail_pages] == expected
+            assert f"{name}-ad0.html" in {p.url for p in result.other_pages}
+            assert result.dead_links  # chrome links 404
+
+    def test_classification_builds_no_token_stream(self, monkeypatch):
+        # Pages are told apart by their structural fingerprint, so
+        # crawling a list page must not tokenize what it fetched.
         import repro.tokens.tokenizer as tokenizer_module
 
         site = build_site("ohio")
-        pages = [
-            Page(page.url, page.html)
-            for page in site.detail_pages(0) + [site.fetch("ohio-ad0.html")]
-        ]
         calls: list[str] = []
         real_tokenize = tokenizer_module.tokenize_html
 
@@ -167,24 +191,14 @@ class TestClassifier:
         monkeypatch.setattr(
             tokenizer_module, "tokenize_html", counting_tokenize
         )
-        PageClassifier().clusters(pages)
-        assert len(calls) == len(pages)
-
-
-class TestCrawler:
-    @pytest.mark.parametrize("name", ["ohio", "allegheny", "superpages", "amazon"])
-    def test_crawl_recovers_detail_pages_in_order(self, name):
-        site = build_site(name)
-        _, details_per_list, results = crawl_generated_site(site)
-        for page_index, crawled in enumerate(details_per_list):
-            expected = [p.url for p in site.detail_pages(page_index)]
-            assert [p.url for p in crawled] == expected
-            assert results[page_index].dead_links  # chrome links 404
+        result = Crawler(SiteFetcher(site)).try_collect(site.list_pages[0])
+        assert result.detail_pages and result.other_pages
+        assert calls == []
 
     def test_ads_classified_as_other(self):
         site = build_site("ohio")
-        _, _, results = crawl_generated_site(site)
-        other_urls = {p.url for p in results[0].other_pages}
+        crawl = crawl_site(site)
+        other_urls = {p.url for p in crawl.results[0].other_pages}
         assert "ohio-ad0.html" in other_urls
 
     def test_unfetchable_page_raises(self):
@@ -213,14 +227,11 @@ class TestCrawler:
             '<a href="gone-a.html">x</a> <a href="gone-b.html">y</a>',
             kind="list",
         )
-        original = site.list_pages[0]
         site.list_pages[0] = dead
-        try:
-            list_pages, details_per_list, results = crawl_generated_site(site)
-        finally:
-            site.list_pages[0] = original
-        assert len(results) == len(site.list_pages)
-        assert results[0].failed and details_per_list[0] == []
-        assert not results[1].failed
+        crawl = crawl_site(site)
+        assert len(crawl.results) == len(site.list_pages)
+        assert crawl.results[0].failed and crawl.results[0].detail_pages == []
+        assert crawl.health.quarantined_pages == [dead.url]
+        assert not crawl.results[1].failed
         expected = [p.url for p in site.detail_pages(1)]
-        assert [p.url for p in details_per_list[1]] == expected
+        assert [p.url for p in crawl.results[1].detail_pages] == expected

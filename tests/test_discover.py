@@ -9,63 +9,12 @@ import pytest
 
 from repro.core.exceptions import CrawlError
 from repro.core.pipeline import SegmentationPipeline
-from repro.crawl import (
-    SiteFetcher,
-    discover_site,
-    extract_links_with_text,
-    follow_next_chain,
-)
-from repro.sitegen.corpus import build_site
+from repro.crawl import SiteFetcher, discover_site, follow_next_chain
+from repro.sitegen.corpus import TABLE4_ORDER, build_site
 from repro.sitegen.domains.books import build_amazon
 from repro.sitegen.site import GeneratedSite
 from repro.template.finder import TemplateFinder
 from repro.webdoc.page import Page
-
-
-class TestLinkText:
-    def test_pairs_in_order(self):
-        html = '<a href="a.html">First</a> x <a href="b.html">Second one</a>'
-        assert extract_links_with_text(html) == [
-            ("a.html", "First"),
-            ("b.html", "Second one"),
-        ]
-
-    def test_nested_markup_inside_anchor(self):
-        html = '<a href="a.html"><b>Bold</b> text</a>'
-        assert extract_links_with_text(html) == [("a.html", "Bold text")]
-
-    def test_duplicates_kept(self):
-        html = '<a href="a.html">x</a><a href="a.html">y</a>'
-        assert len(extract_links_with_text(html)) == 2
-
-    def test_exact_duplicate_pairs_collapse(self):
-        html = '<a href="a.html">x</a><a href="a.html">x</a>'
-        assert extract_links_with_text(html) == [("a.html", "x")]
-
-    def test_nested_anchor_implicitly_closes_outer(self):
-        # Broken markup: a second <a> opens before the first closed.
-        # The outer anchor is emitted with the text seen so far, then
-        # the inner anchor is tracked normally.
-        html = '<a href="outer.html">Out <a href="inner.html">In</a>'
-        assert extract_links_with_text(html) == [
-            ("outer.html", "Out"),
-            ("inner.html", "In"),
-        ]
-
-    def test_unclosed_anchor_at_eof_is_emitted(self):
-        html = '<a href="last.html">Last entry'
-        assert extract_links_with_text(html) == [("last.html", "Last entry")]
-
-    def test_fragment_and_empty_hrefs_skipped(self):
-        html = (
-            '<a href="#top">Top</a><a href="">Blank</a>'
-            '<a href="real.html">Real</a>'
-        )
-        assert extract_links_with_text(html) == [("real.html", "Real")]
-
-    def test_empty_text_anchors_skipped(self):
-        html = '<a href="icon.html"></a><a href="real.html">Real</a>'
-        assert extract_links_with_text(html) == [("real.html", "Real")]
 
 
 class TestSiteChrome:
@@ -106,7 +55,7 @@ class TestFollowNextChain:
 
 
 class TestDiscoverSite:
-    @pytest.mark.parametrize("name", ["lee", "ohio", "superpages"])
+    @pytest.mark.parametrize("name", TABLE4_ORDER)
     def test_discovers_pipeline_inputs(self, name):
         site = build_site(name)
         fetcher = SiteFetcher(site)

@@ -108,6 +108,52 @@ class TestFingerprint:
         assert profile_page(pages[0], ShingleSpace()).shingles == again.shingles
 
 
+class TestNextLink:
+    """The pager signal that :func:`follow_next_chain` walks."""
+
+    @staticmethod
+    def next_url(html):
+        return profile_page(Page("x.html", html), ShingleSpace()).next_url
+
+    def test_closed_by_end_tag(self):
+        html = '<a href="a.html">First</a> x <a href="n.html">Next</a>'
+        assert self.next_url(html) == "n.html"
+
+    def test_implicitly_closed_by_next_anchor(self):
+        # Broken markup: a second <a> opens before the first closed.
+        html = '<a href="n.html">Next <a href="m.html">More</a>'
+        assert self.next_url(html) == "n.html"
+
+    def test_open_at_end_of_input(self):
+        assert self.next_url('<a href="n.html">Next') == "n.html"
+
+    def test_markup_inside_anchor(self):
+        html = '<a href="n.html"><b> Next </b><img src="arrow.gif"></a>'
+        assert self.next_url(html) == "n.html"
+
+    def test_fragment_and_empty_hrefs_skipped(self):
+        html = (
+            '<a href="#top">Next</a><a href="">Next</a>'
+            '<a href="n.html">Next</a>'
+        )
+        assert self.next_url(html) == "n.html"
+
+    def test_case_insensitive(self):
+        assert self.next_url('<a href="n.html">NEXT</a>') == "n.html"
+
+    def test_first_next_wins(self):
+        # Each anchor's text counts, even when its href was seen before.
+        html = (
+            '<a href="a.html">Prev</a><a href="a.html">next</a>'
+            '<a href="b.html">Next</a>'
+        )
+        assert self.next_url(html) == "a.html"
+
+    def test_no_next(self):
+        html = '<a href="a.html">Next page</a><a href="b.html"></a>'
+        assert self.next_url(html) is None
+
+
 class TestClassify:
     @pytest.fixture(scope="class")
     def ohio_profiles(self):

@@ -3,11 +3,24 @@
 from __future__ import annotations
 
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-LAZY_PACKAGES = ("repro", "repro.core", "repro.serve", "repro.relational")
+import repro
+
+LAZY_PACKAGES = (
+    "repro",
+    "repro.core",
+    "repro.crawl",
+    "repro.serve",
+    "repro.relational",
+)
 
 
 @pytest.fixture(params=LAZY_PACKAGES)
@@ -51,3 +64,34 @@ def test_dir_lists_imported_submodules():
     import repro.core.pipeline  # noqa: F401 - binds repro.core.pipeline
 
     assert "pipeline" in dir(repro.core)
+
+
+def fresh_import(module):
+    """The modules a fresh interpreter has loaded after ``import module``."""
+    src = Path(repro.__file__).resolve().parents[1]
+    script = f"import json, sys, {module}; print(json.dumps(list(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout))
+
+
+def test_serving_path_does_not_load_the_crawler():
+    # The HTTP layer imports repro.crawl.resilient; the crawler and
+    # the ingest fingerprint pass it classifies with stay unloaded.
+    loaded = fresh_import("repro.serve.http")
+    assert "repro.crawl.resilient" in loaded
+    assert not {"repro.crawl.crawler", "repro.ingest.cluster"} & loaded
+
+
+@pytest.mark.parametrize("module", ["repro.crawl.crawler", "repro.ingest"])
+def test_crawl_and_ingest_import_first(module):
+    # crawl.crawler -> ingest.fingerprint and ingest.fetch ->
+    # crawl.resilient form a package cycle; either side must import
+    # cleanly as the first import.
+    assert module in fresh_import(module)

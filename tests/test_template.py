@@ -172,12 +172,6 @@ class TestTemplateModel:
         foreign = Page("f", "<html><body>totally unrelated words</body></html>")
         assert verdict.template.locate(foreign.tokens()) is None
 
-    def test_coverage_bounds(self):
-        pages, verdict = self.make_verdict()
-        assert verdict.template.coverage(pages[0].tokens()) == 1.0
-        foreign = Page("f", "<html><body>unrelated</body></html>")
-        assert verdict.template.coverage(foreign.tokens()) < 0.5
-
 
 class TestEnumerationHeuristic:
     """The paper's future-work fix for numbered entries (Section 6.2)."""
