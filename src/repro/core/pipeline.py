@@ -48,16 +48,16 @@ the pipeline itself depends on nothing in :mod:`repro.runner`), each
 stage is looked up by a content fingerprint of its exact inputs (page
 bytes + the stage's config slice) before being computed, so warm
 re-runs and parameter sweeps skip the work upstream of the changed
-knob.  Key material chains: each stage's material extends its
-dependencies' material, byte-identically to the hand-written key
-tuples that predate the stage graph, so existing on-disk caches stay
-warm.  Caching engages only for pristine samples: a run carrying a
-``crawl_health`` report came through a (possibly fault-injected) crawl
-whose degradation bookkeeping must actually execute, so it always
-computes.  Two stages sit outside the per-site chain: ``tokenize``,
-which :func:`bind_token_cache` puts behind each page's
-:meth:`~repro.webdoc.page.Page.tokens` so a stream is read only when a
-stage that missed needs it, and ``detail_fields``
+knob.  Keys chain: each stage's key hashes its dependencies' keys
+with its own inputs, and a stage whose key hits is loaded without
+reading its dependencies, so a warm list page reads only its
+``segment`` entry.  Caching engages only for pristine samples: a run
+carrying a ``crawl_health`` report came through a (possibly
+fault-injected) crawl whose degradation bookkeeping must actually
+execute, so it always computes.  Two stages sit outside the per-site
+chain: ``tokenize``, which :func:`bind_token_cache` puts behind each
+page's :meth:`~repro.webdoc.page.Page.tokens` so a stream is read only
+when a stage that missed needs it, and ``detail_fields``
 (:meth:`SegmentationPipeline.detail_fields`), the detail-page
 label/value parse that names store columns.
 
@@ -536,7 +536,7 @@ class SegmentationPipeline:
                     run.pages.append(
                         PageRun(
                             page=region.page,
-                            table=page_ctx["observations"],
+                            table=segmentation.table,
                             segmentation=segmentation,
                             elapsed=obs.clock.now() - started,
                         )

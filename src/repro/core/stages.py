@@ -7,8 +7,8 @@ runner's workers, the online service, the experiment sweeps — runs the
 same stages while needing the same three cross-cutting behaviours:
 
 * **cache-key chaining** — each stage's content-addressed cache key
-  extends its upstream stages' key material with its own inputs, so a
-  downstream knob change invalidates only downstream stages;
+  hashes its dependencies' keys with its own inputs (a Merkle chain),
+  so a downstream knob change invalidates only downstream stages;
 * **observability** — one ``pipeline.*`` span per stage with the
   stage's counts as attributes, plus the stage counters;
 * **degradation** — the ladder of paper-prescribed fallbacks
@@ -31,32 +31,97 @@ online service declares its own stages in :mod:`repro.serve.service`.
 
 Contract guarantees the executor upholds:
 
-* stages run in dependency order; a stage already present in the
-  :class:`StageContext` (for example computed by a parent context) is
-  never re-run;
-* cache keys are ``fingerprint(stage.name, material)`` where
-  ``material`` is the concatenation of every dependency's material
-  followed by the stage's own ``key(ctx)`` parts — byte-identical to
-  the hand-written tuples the pipeline used before the stage graph
-  existed (guarded by ``tests/test_stage_graph.py`` and the CI
-  ``stage-parity`` job);
+* a stage already present in the :class:`StageContext` (for example
+  computed by a parent context) is never re-run;
+* a cached stage looks its key up first; its dependencies are loaded
+  or computed only when it must compute (no cache, or a miss), so a
+  hit reads one cache entry however deep its dependency chain is;
+* cache keys chain (:meth:`StageGraph.key`): each is computed once
+  per context and never re-hashes upstream material;
 * degradations (pre-condition checks first, then exception matches,
   both in declaration order) run *inside* the cached compute, so a
   degraded result is cached exactly like a computed one;
-* the span opens before the cache lookup and closes after
-  ``result_attrs``/``finalize``, and counters are booked after the
-  span closes — the exact emission order the hand-written pipeline
-  used, which keeps traces byte-identical under a ``ManualClock``.
+* a computing stage resolves its dependencies, then opens its span,
+  computes (and stores), adds ``result_attrs``, runs ``finalize`` and
+  closes the span; counters are booked after the span closes — the
+  hand-written pipeline's order, which keeps cold and uncached traces
+  byte-identical under a ``ManualClock``.  A hit opens only its own
+  span, after the lookup, and books only its own counters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping
+import hashlib
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.obs import Observability, current as current_obs
 
-__all__ = ["Degradation", "Stage", "StageContext", "StageGraph"]
+__all__ = ["Degradation", "Stage", "StageContext", "StageGraph", "fingerprint"]
+
+#: Part of every stage key.  Bumping it orphans every cache entry
+#: written under the previous key or value format at once.
+CACHE_SCHEMA = 2
+
+
+def _update(digest: "hashlib._Hash", obj: Any) -> None:
+    """Feed one value into ``digest`` in canonical form."""
+    if obj is None:
+        digest.update(b"N;")
+    elif isinstance(obj, bool):  # before int: bool is an int subclass
+        digest.update(b"b1;" if obj else b"b0;")
+    elif isinstance(obj, int):
+        digest.update(b"i" + repr(obj).encode() + b";")
+    elif isinstance(obj, float):
+        digest.update(b"f" + repr(obj).encode() + b";")
+    elif isinstance(obj, str):
+        data = obj.encode("utf-8")
+        digest.update(b"s" + str(len(data)).encode() + b":")
+        digest.update(data)
+    elif isinstance(obj, bytes):
+        digest.update(b"y" + str(len(obj)).encode() + b":")
+        digest.update(obj)
+    elif isinstance(obj, (list, tuple)):
+        digest.update(b"l(")
+        for item in obj:
+            _update(digest, item)
+        digest.update(b")")
+    elif isinstance(obj, (set, frozenset)):
+        # Iteration order is hash-randomized; sort element digests.
+        digest.update(b"e(")
+        for item_digest in sorted(fingerprint(item) for item in obj):
+            digest.update(item_digest.encode())
+        digest.update(b")")
+    elif isinstance(obj, dict):
+        digest.update(b"d(")
+        for key in sorted(obj, key=lambda k: fingerprint(k)):
+            _update(digest, key)
+            _update(digest, obj[key])
+        digest.update(b")")
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        digest.update(b"D" + type(obj).__qualname__.encode() + b"(")
+        for field_ in fields(obj):
+            _update(digest, field_.name)
+            _update(digest, getattr(obj, field_.name))
+        digest.update(b")")
+    else:
+        digest.update(b"r" + repr(obj).encode() + b";")
+
+
+def fingerprint(*parts: Any) -> str:
+    """SHA-256 hex digest of ``parts`` in canonical form.
+
+    Stable across processes and interpreter restarts: dicts hash by
+    sorted key, sets by sorted element digest (never by the iteration
+    order ``PYTHONHASHSEED`` randomizes), dataclasses by qualified
+    class name plus fields, and every value carries a type tag so
+    ``1`` / ``1.0`` / ``"1"`` differ.
+    """
+    digest = hashlib.sha256()
+    for part in parts:
+        _update(digest, part)
+    return digest.hexdigest()
 
 
 class StageContext:
@@ -75,9 +140,11 @@ class StageContext:
             :class:`~repro.crawl.resilient.CrawlHealth`).  Labelled
             degradations append to it; inherited from the parent when
             not given.
+        keys: the stage cache keys computed in this layer (see
+            :meth:`StageGraph.key`); a child reuses its parent's.
     """
 
-    __slots__ = ("values", "parent", "health")
+    __slots__ = ("values", "parent", "health", "keys")
 
     def __init__(
         self,
@@ -90,6 +157,7 @@ class StageContext:
         if health is None and parent is not None:
             health = parent.health
         self.health = health
+        self.keys: dict[str, str] = {}
 
     def child(self, **values: Any) -> "StageContext":
         """A new context layered over this one."""
@@ -163,8 +231,9 @@ class Stage:
             its result is stored under, and what ``deps`` reference.
         compute: ``ctx -> result``; reads inputs and upstream results
             from the context.
-        deps: upstream stage names.  They execute first, and their
-            cache-key material prefixes this stage's (key chaining).
+        deps: upstream stage names.  They resolve before this stage
+            computes, and their cache keys are part of its key (key
+            chaining).
         key: ``ctx -> tuple`` of this stage's *own* cache-key parts —
             its config slice plus per-invocation inputs.  ``None``
             marks the stage uncacheable (always computed).
@@ -198,9 +267,7 @@ class Stage:
         """``compute`` wrapped in the degradation ladder.
 
         This is the unit the cache memoises, so degraded results are
-        cached exactly like computed ones (matching the pre-graph
-        pipeline, which ran its fallback ladders inside the cached
-        closures).
+        cached exactly like computed ones.
         """
         for rung in self.degradations:
             if rung.condition is not None and rung.condition(ctx):
@@ -220,11 +287,12 @@ class StageGraph:
     """Executes :class:`Stage` declarations in dependency order.
 
     The graph is static data: build it once (module level is fine) and
-    run it against many contexts.  ``run`` executes the dependency
-    closure of the requested ``targets``, skipping stages whose result
-    the context (or an ancestor context) already holds — which is both
-    the "don't recompute the site-level template per page" rule and
-    the mechanism that lets drivers enter the graph at any stage.
+    run it against many contexts.  ``run`` binds the requested
+    ``targets``, resolving a dependency only when a stage that computes
+    needs it, and skipping stages whose result the context (or an
+    ancestor context) already holds — which is both the "don't
+    recompute the site-level template per page" rule and the mechanism
+    that lets drivers enter the graph at any stage.
 
     Args:
         stages: the declarations.  Names must be unique and every
@@ -245,20 +313,16 @@ class StageGraph:
                         f"stage {stage.name!r} depends on unknown "
                         f"stage {dep!r}"
                     )
-        self._order = self._toposort()
+        self._reject_cycles()
 
     def __contains__(self, name: str) -> bool:
         return name in self._stages
-
-    def __iter__(self) -> Iterator[Stage]:
-        return iter(self._order)
 
     def stage(self, name: str) -> Stage:
         """The declaration called ``name`` (KeyError when unknown)."""
         return self._stages[name]
 
-    def _toposort(self) -> tuple[Stage, ...]:
-        order: list[Stage] = []
+    def _reject_cycles(self) -> None:
         state: dict[str, int] = {}  # 1 = visiting, 2 = done
 
         def visit(name: str) -> None:
@@ -271,29 +335,33 @@ class StageGraph:
             for dep in self._stages[name].deps:
                 visit(dep)
             state[name] = 2
-            order.append(self._stages[name])
 
         for name in self._stages:
             visit(name)
-        return tuple(order)
 
-    def key_material(self, name: str, ctx: StageContext) -> list:
-        """The full cache-key part list for stage ``name``.
+    def key(self, name: str, ctx: StageContext) -> str:
+        """Stage ``name``'s cache key in ``ctx``: a Merkle hash.
 
-        Every dependency's material, in declaration order, followed by
-        the stage's own ``key(ctx)`` parts — exactly the hand-built
-        tuples the pre-graph pipeline passed to
-        ``StageCache.get_or_compute``, so existing on-disk caches stay
-        warm across the refactor.
+        ``fingerprint(name, CACHE_SCHEMA, [dependency keys], *own
+        parts)``, computed once per context (a child context reuses
+        the keys its ancestors computed).
         """
+        layer: StageContext | None = ctx
+        while layer is not None:
+            if name in layer.keys:
+                return layer.keys[name]
+            layer = layer.parent
         stage = self._stages[name]
         if stage.key is None:
             raise ValueError(f"stage {name!r} declares no cache key")
-        material: list = []
-        for dep in stage.deps:
-            material.extend(self.key_material(dep, ctx))
-        material.extend(stage.key(ctx))
-        return material
+        key = fingerprint(
+            name,
+            CACHE_SCHEMA,
+            [self.key(dep, ctx) for dep in stage.deps],
+            *stage.key(ctx),
+        )
+        ctx.keys[name] = key
+        return key
 
     def run(
         self,
@@ -303,66 +371,52 @@ class StageGraph:
         obs: Observability | None = None,
         cache: Any = None,
     ) -> StageContext:
-        """Execute ``targets`` (default: every stage) and their deps.
+        """Bind ``targets`` (default: every stage) into ``ctx``.
 
         Args:
             ctx: the value store; stage results are bound into it.
-            targets: stage names to produce.  The dependency closure
-                runs in topological order; stages already bound in the
-                context are skipped.
+            targets: stage names to produce.  Stages already bound in
+                the context are skipped; a target's dependencies run
+                first whenever it computes.
             obs: observability bundle for spans/counters (default: the
                 installed bundle, usually the no-op one).
             cache: optional stage cache — any object with
-                ``get_or_compute(stage, parts, compute)`` (the
+                ``get(stage, key) -> (found, value)`` and
+                ``put(stage, key, value) -> value`` (the
                 :class:`~repro.runner.cache.StageCache` interface).
                 Stages without a ``key`` bypass it.
         """
         obs = obs if obs is not None else current_obs()
-        if targets is None:
-            wanted = {stage.name for stage in self._order}
-        else:
-            wanted = set()
-            pending = list(targets)
-            while pending:
-                name = pending.pop()
-                if name in wanted:
-                    continue
-                stage = self._stages.get(name)
-                if stage is None:
-                    raise ValueError(f"unknown stage {name!r}")
-                wanted.add(name)
-                pending.extend(stage.deps)
-        for stage in self._order:
-            if stage.name in wanted and stage.name not in ctx:
-                self._execute(stage, ctx, obs, cache)
+        for name in self._stages if targets is None else targets:
+            if name not in self._stages:
+                raise ValueError(f"unknown stage {name!r}")
+            if name not in ctx:
+                self._execute(self._stages[name], ctx, obs, cache)
         return ctx
 
     # -- internals -----------------------------------------------------------
 
-    def _compute(self, stage: Stage, ctx: StageContext, cache: Any) -> Any:
-        if cache is None or stage.key is None:
-            return stage.guarded_compute(ctx)
-        return cache.get_or_compute(
-            stage.name,
-            self.key_material(stage.name, ctx),
-            lambda: stage.guarded_compute(ctx),
-        )
-
     def _execute(
         self, stage: Stage, ctx: StageContext, obs: Observability, cache: Any
     ) -> None:
-        if stage.span is None:
-            value = self._compute(stage, ctx, cache)
+        cached = cache is not None and stage.key is not None
+        found = False
+        if cached:
+            key = self.key(stage.name, ctx)
+            found, value = cache.get(stage.name, key)
+        if not found:
+            self.run(ctx, stage.deps, obs=obs, cache=cache)
+        attrs = stage.span_attrs(ctx) if stage.span_attrs else {}
+        scope = obs.span(stage.span, **attrs) if stage.span else nullcontext()
+        with scope as span:
+            if not found:
+                value = stage.guarded_compute(ctx)
+                if cached:
+                    value = cache.put(stage.name, key, value)
+            if span is not None and stage.result_attrs is not None:
+                span.attributes.update(stage.result_attrs(value, ctx))
             if stage.finalize is not None:
                 stage.finalize(value, ctx)
-        else:
-            attrs = stage.span_attrs(ctx) if stage.span_attrs else {}
-            with obs.span(stage.span, **attrs) as span:
-                value = self._compute(stage, ctx, cache)
-                if stage.result_attrs is not None:
-                    span.attributes.update(stage.result_attrs(value, ctx))
-                if stage.finalize is not None:
-                    stage.finalize(value, ctx)
         if stage.counters is not None:
             for counter_name, amount in stage.counters(value, ctx):
                 obs.counter(counter_name).inc(amount)

@@ -3,18 +3,15 @@
 Every cacheable stage of the pipeline — tokenized pages, template
 verdicts, extract lists, observation tables, segmentations — is a
 pure function of (a) the page bytes it reads and (b) the stage's
-configuration.  :class:`StageCache` therefore keys each stored value
-by a SHA-256 fingerprint of exactly those inputs: re-running a corpus,
-or sweeping a downstream parameter, hits the cache for every stage
-whose inputs did not change instead of recomputing it.
+configuration.  :class:`StageCache` therefore stores each value under
+a SHA-256 key of exactly those inputs: re-running a corpus, or
+sweeping a downstream parameter, hits the cache for every stage whose
+inputs did not change instead of recomputing it.
 
-Fingerprinting (:func:`fingerprint`) canonicalizes Python values
-before hashing so keys are stable across processes and interpreter
-restarts: dicts hash by sorted key, sets and frozensets by sorted
-element digest (never by iteration order, which ``PYTHONHASHSEED``
-randomizes), dataclasses by qualified class name plus per-field
-values, and every value carries a type tag so ``1`` / ``1.0`` /
-``"1"`` produce distinct digests.
+The stage graph computes the keys
+(:meth:`repro.core.stages.StageGraph.key`, hashed with the
+:func:`fingerprint` this module re-exports) and calls
+:meth:`StageCache.get` and :meth:`StageCache.put`.
 
 Storage layout and integrity::
 
@@ -42,72 +39,16 @@ import hashlib
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any
 
+from repro.core.stages import fingerprint
 from repro.obs import NULL_OBS, Observability
 
 __all__ = ["CacheStats", "MemoryStageCache", "StageCache", "fingerprint"]
 
 _CHECKSUM_BYTES = 32
-
-
-def _update(digest: "hashlib._Hash", obj: Any) -> None:
-    """Feed one value into ``digest`` in canonical form."""
-    if obj is None:
-        digest.update(b"N;")
-    elif isinstance(obj, bool):  # before int: bool is an int subclass
-        digest.update(b"b1;" if obj else b"b0;")
-    elif isinstance(obj, int):
-        digest.update(b"i" + repr(obj).encode() + b";")
-    elif isinstance(obj, float):
-        digest.update(b"f" + repr(obj).encode() + b";")
-    elif isinstance(obj, str):
-        data = obj.encode("utf-8")
-        digest.update(b"s" + str(len(data)).encode() + b":")
-        digest.update(data)
-    elif isinstance(obj, bytes):
-        digest.update(b"y" + str(len(obj)).encode() + b":")
-        digest.update(obj)
-    elif isinstance(obj, (list, tuple)):
-        digest.update(b"l(")
-        for item in obj:
-            _update(digest, item)
-        digest.update(b")")
-    elif isinstance(obj, (set, frozenset)):
-        # Iteration order is hash-randomized; sort element digests.
-        digest.update(b"e(")
-        for item_digest in sorted(fingerprint(item) for item in obj):
-            digest.update(item_digest.encode())
-        digest.update(b")")
-    elif isinstance(obj, dict):
-        digest.update(b"d(")
-        for key in sorted(obj, key=lambda k: fingerprint(k)):
-            _update(digest, key)
-            _update(digest, obj[key])
-        digest.update(b")")
-    elif is_dataclass(obj) and not isinstance(obj, type):
-        digest.update(b"D" + type(obj).__qualname__.encode() + b"(")
-        for field in fields(obj):
-            _update(digest, field.name)
-            _update(digest, getattr(obj, field.name))
-        digest.update(b")")
-    else:
-        digest.update(b"r" + repr(obj).encode() + b";")
-
-
-def fingerprint(*parts: Any) -> str:
-    """SHA-256 hex digest of ``parts`` in canonical form.
-
-    Stable across processes and runs for the value kinds the pipeline
-    configures itself with (primitives, containers, dataclasses); see
-    the module docstring for the canonicalization rules.
-    """
-    digest = hashlib.sha256()
-    for part in parts:
-        _update(digest, part)
-    return digest.hexdigest()
 
 
 @dataclass
@@ -119,15 +60,6 @@ class CacheStats:
     corrupt: int = 0
     evictions: int = 0
     store_errors: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "corrupt": self.corrupt,
-            "evictions": self.evictions,
-            "store_errors": self.store_errors,
-        }
 
 
 class StageCache:
@@ -161,10 +93,6 @@ class StageCache:
         self.obs = obs if obs is not None else NULL_OBS
         self.max_bytes = max_bytes
         self.stats = CacheStats()
-
-    def key(self, stage: str, parts: Iterable[Any]) -> str:
-        """The cache key for ``stage`` over the given input parts."""
-        return fingerprint(stage, list(parts))
 
     def _path(self, stage: str, key: str) -> Path:
         return self.root / stage / key[:2] / f"{key}.bin"
@@ -277,19 +205,19 @@ class StageCache:
             self.stats.evictions += evictions
             self.obs.counter("runner.cache.evictions").inc(evictions)
 
-    def get_or_compute(
-        self, stage: str, parts: Iterable[Any], compute: Callable[[], Any]
-    ) -> Any:
-        """The cached value for ``stage`` + ``parts``, computing on miss."""
-        key = self.key(stage, parts)
+    def get(self, stage: str, key: str) -> tuple[bool, Any]:
+        """:meth:`load`, booked as a hit or a miss."""
         found, value = self.load(stage, key)
         if found:
             self.stats.hits += 1
             self.obs.counter("runner.cache.hits").inc()
-            return value
-        self.stats.misses += 1
-        self.obs.counter("runner.cache.misses").inc()
-        value = compute()
+        else:
+            self.stats.misses += 1
+            self.obs.counter("runner.cache.misses").inc()
+        return found, value
+
+    def put(self, stage: str, key: str, value: Any) -> Any:
+        """:meth:`store` ``value`` and return it; never raises ``OSError``."""
         try:
             self.store(stage, key, value)
         except OSError:
@@ -307,36 +235,31 @@ class MemoryStageCache:
     runs — e.g. a method sweep over a caller-supplied corpus, where
     ``tokenize``/``template``/``extracts``/``observations`` results
     are identical across methods but the corpus object cannot be
-    named on disk.  Keys use the same :func:`fingerprint`
-    canonicalization as the on-disk cache, and values round-trip
-    through pickle on both store and load so a cached result is
-    isolated from its producer exactly like a disk hit would be
-    (mutating a returned value never poisons the cache).
+    named on disk.  It takes the same keys and the same ``get``/``put``
+    calls as the on-disk cache, and values round-trip through pickle
+    on both store and load so a cached result is isolated from its
+    producer exactly like a disk hit would be (mutating a returned
+    value never poisons the cache).
     """
 
     def __init__(self) -> None:
-        self._entries: dict[str, bytes] = {}
+        self._entries: dict[tuple[str, str], bytes] = {}
         self.stats = CacheStats()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def key(self, stage: str, parts: Iterable[Any]) -> str:
-        """The cache key for ``stage`` over the given input parts."""
-        return fingerprint(stage, list(parts))
+    def get(self, stage: str, key: str) -> tuple[bool, Any]:
+        """``(True, a fresh copy)`` on a hit, else ``(False, None)``."""
+        payload = self._entries.get((stage, key))
+        if payload is None:
+            self.stats.misses += 1
+            return False, None
+        self.stats.hits += 1
+        return True, pickle.loads(payload)
 
-    def get_or_compute(
-        self, stage: str, parts: Iterable[Any], compute: Callable[[], Any]
-    ) -> Any:
-        """The cached value for ``stage`` + ``parts``, computing on miss."""
-        key = self.key(stage, parts)
-        payload = self._entries.get(key)
-        if payload is not None:
-            self.stats.hits += 1
-            return pickle.loads(payload)
-        self.stats.misses += 1
-        value = compute()
-        self._entries[key] = pickle.dumps(
-            value, protocol=pickle.HIGHEST_PROTOCOL
-        )
-        return pickle.loads(self._entries[key])
+    def put(self, stage: str, key: str, value: Any) -> Any:
+        """Store ``value``; returns a copy isolated from the entry."""
+        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        self._entries[(stage, key)] = payload
+        return pickle.loads(payload)

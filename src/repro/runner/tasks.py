@@ -27,12 +27,13 @@ Every result carries a content ``digest`` — a SHA-256 fingerprint of
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from repro.runner.cache import fingerprint
-from repro.webdoc.store import MANIFEST_NAME
+from repro.webdoc.store import MANIFEST_NAME, load_sample
 
 __all__ = [
     "PageOutcome",
@@ -64,8 +65,36 @@ class SiteTask:
     cost_hint: float = 0.0
 
     def fingerprint(self) -> str:
-        """Identity of the task *definition* (not its result)."""
-        return fingerprint("task", self.kind, self.spec, self.method)
+        """Identity of the task *definition* (not its result).
+
+        A ``sample_dir`` task also covers its content, so a directory
+        whose pages changed under the same path re-runs on resume.
+        """
+        parts = ["task", self.kind, self.spec, self.method]
+        if self.kind == "sample_dir":
+            parts.append(_page_digests(Path(self.spec)))
+        return fingerprint(*parts)
+
+
+def _page_digests(directory: Path) -> list | None:
+    """Each list page with its details, as ``(file, sha256)`` pairs.
+
+    ``repro.ingest.bundle.page_fingerprint``'s rule (SHA-256 of the
+    UTF-8 bytes), inlined so the runner never imports ``repro.ingest``.
+    ``None`` when the sample does not load: its task fails, and a
+    failed task always re-runs.
+    """
+    try:
+        sample = load_sample(directory)
+    except Exception:
+        return None
+    return [
+        [
+            (page.url, hashlib.sha256(page.html.encode("utf-8")).hexdigest())
+            for page in [head, *details]
+        ]
+        for head, details in zip(sample.list_pages, sample.detail_pages_per_list)
+    ]
 
 
 @dataclass

@@ -12,16 +12,13 @@ registry's snapshot, which the engine merges into the parent's
 metrics so a parallel run profiles exactly like a serial one.
 
 Workers execute stages through the shared stage graph
-(:data:`repro.core.pipeline.PIPELINE_GRAPH`): every page is bound to
-the graph's declared ``tokenize`` stage
-(:func:`~repro.core.pipeline.bind_token_cache`), so its token stream
-is read from the stage cache only if a stage that missed asks for it;
-everything downstream runs inside the
-:class:`~repro.core.pipeline.SegmentationPipeline` assembly of the
-same graph, and store-bound runs (``collect_wire``) take their column
-names from its ``detail_fields`` stage.  A warm site therefore reads
-only the cache entries its outputs need, and no cache-key tuples or
-span emission live in this module.
+(:data:`repro.core.pipeline.PIPELINE_GRAPH`), which loads a stage's
+dependencies only when the stage misses the cache.  Every page is
+bound to the ``tokenize`` stage
+(:func:`~repro.core.pipeline.bind_token_cache`), and store-bound runs
+(``collect_wire``) take their column names from the ``detail_fields``
+stage.  A warm site therefore reads one ``template`` entry, then one
+``segment`` and one ``detail_fields`` entry per list page.
 
 Every spawned worker pays for this module's imports at start-up, so
 it imports only the pipeline core.  The layers one task kind needs

@@ -255,13 +255,6 @@ class ChaosStageCache:
         self._reads = 0
         self._writes = 0
 
-    @property
-    def stats(self) -> Any:
-        return self.inner.stats
-
-    def key(self, stage: str, parts: Any) -> str:
-        return self.inner.key(stage, parts)
-
     def load(self, stage: str, key: str) -> tuple[bool, Any]:
         with self._lock:
             index = self._reads

@@ -77,8 +77,6 @@ class Token:
     def __reduce__(self):
         # Pickle as constructor arguments: one call per token on load,
         # where the dataclass default replays a ``__setstate__`` loop.
-        # That default ``__setstate__`` stays, so streams pickled in
-        # the older format (stage-cache entries already on disk) load.
         return Token, (
             self.text, self.types, self.index, self.ws_before, self.start
         )

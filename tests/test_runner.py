@@ -5,8 +5,10 @@ from __future__ import annotations
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,8 @@ import pytest
 import repro
 import repro.relational.detail_fields
 from repro.cli import main
+from repro.core.pipeline import PIPELINE_GRAPH
+from repro.core.stages import StageContext
 from repro.ingest import ingest_pages, write_bundles
 from repro.obs import Observability
 from repro.runner import (
@@ -210,6 +214,41 @@ class TestEngineSerial:
         ).run(tasks)
         assert third.results == [] and len(third.skipped) == len(tasks)
 
+    def test_resume_reruns_a_sample_whose_pages_changed(self, tmp_path):
+        # A rebuilt bundle keeps its directory (bundles are named after
+        # their head list page), so a path-only identity would resume
+        # the old record.
+        site_dir = tmp_path / "corpus" / "site"
+
+        def save(name):
+            site = build_site(name)
+            shutil.rmtree(site_dir, ignore_errors=True)
+            save_sample(
+                site_dir,
+                name,
+                site.list_pages,
+                [site.detail_pages(i) for i in range(len(site.list_pages))],
+            )
+
+        def run(resume):
+            config = RunnerConfig(
+                manifest_path=str(tmp_path / "run.jsonl"), resume=resume
+            )
+            return BatchRunner(config).run(
+                tasks_from_directory(tmp_path / "corpus", method="csp")
+            )
+
+        save("lee")
+        first = run(resume=False)
+        assert [result.task_id for result in first.results] == ["site"]
+        save("butler")
+        changed = run(resume=True)
+        assert changed.skipped == []
+        assert [result.task_id for result in changed.results] == ["site"]
+        assert changed.results[0].digest() != first.results[0].digest()
+        unchanged = run(resume=True)
+        assert unchanged.skipped == ["site"] and unchanged.results == []
+
     def test_cache_warm_run_identical(self, tmp_path):
         corpus = export_corpus(tmp_path / "corpus")
         tasks = tasks_from_directory(corpus, method="prob")
@@ -227,6 +266,12 @@ class TestWarmReadDiscipline:
     def test_warm_runs_skip_detail_tokens_and_field_parsing(
         self, tmp_path, monkeypatch
     ):
+        """Warm tasks read one entry per output and nothing upstream.
+
+        Inline, every site loads one ``template`` entry and each list
+        page one ``segment`` and one ``detail_fields`` entry; no
+        ``extracts``, ``observations`` or ``tokenize`` entry is read.
+        """
         corpus = build_mixed_corpus(MixedCorpusSpec(sites=4, seed=5))
         write_bundles(ingest_pages(corpus.pages), tmp_path / "bundles")
         tasks = tasks_from_directory(tmp_path / "bundles")
@@ -254,10 +299,11 @@ class TestWarmReadDiscipline:
         # Drop every detail page's tokenize entry: a warm run that asked
         # for one (directly, or by parsing detail fields) would miss it.
         cache = StageCache(cache_dir)
+        samples = [load_sample(task.spec) for task in tasks]
         detail_keys = [
-            cache.key("tokenize", [page.html])
-            for task in tasks
-            for group in load_sample(task.spec).detail_pages_per_list
+            PIPELINE_GRAPH.key("tokenize", StageContext({"page": page}))
+            for sample in samples
+            for group in sample.detail_pages_per_list
             for page in group
         ]
         assert all(cache.delete("tokenize", key) for key in detail_keys)
@@ -267,6 +313,14 @@ class TestWarmReadDiscipline:
             "detail_field_pairs",
             lambda *args, **kwargs: parsed.append(args),
         )
+        loads = Counter()
+        load = StageCache.load
+
+        def counted_load(self, stage, key):
+            loads[stage] += 1
+            return load(self, stage, key)
+
+        monkeypatch.setattr(StageCache, "load", counted_load)
 
         for workers in (1, 2):
             warm = run(workers)
@@ -275,6 +329,13 @@ class TestWarmReadDiscipline:
                 r.digest() for r in cold.results
             )
             assert wire(warm) == wire(cold)
+            if workers == 1:  # spawned workers load the unpatched cache
+                list_pages = sum(len(sample.list_pages) for sample in samples)
+                assert dict(loads) == {
+                    "template": len(tasks),
+                    "segment": list_pages,
+                    "detail_fields": list_pages,
+                }
         assert parsed == []
         assert not any(cache.load("tokenize", key)[0] for key in detail_keys)
 
@@ -438,6 +499,7 @@ class TestGeneratedTasks:
 #: the layers such a task never runs.
 UNUSED_BY_CSP = (
     "numpy",
+    "repro.ingest",
     "repro.prob.segmenter",
     "repro.serve.http",
     "repro.serve.supervisor",

@@ -61,63 +61,67 @@ class TestFingerprint:
 class TestStageCache:
     def test_miss_then_hit(self, tmp_path):
         cache = StageCache(tmp_path)
-        calls = []
-        value = cache.get_or_compute("s", ("k",), lambda: calls.append(1) or 42)
-        assert value == 42 and calls == [1]
-        again = cache.get_or_compute("s", ("k",), lambda: calls.append(2) or 43)
-        assert again == 42 and calls == [1]  # no recompute
+        key = fingerprint("k")
+        assert cache.get("s", key) == (False, None)
+        assert cache.put("s", key, 42) == 42
+        assert cache.get("s", key) == (True, 42)  # no recompute
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
     def test_different_parts_different_entries(self, tmp_path):
         cache = StageCache(tmp_path)
-        assert cache.get_or_compute("s", ("a",), lambda: "A") == "A"
-        assert cache.get_or_compute("s", ("b",), lambda: "B") == "B"
+        cache.put("s", fingerprint("a"), "A")
+        cache.put("s", fingerprint("b"), "B")
+        assert cache.get("s", fingerprint("a")) == (True, "A")
+        assert cache.get("s", fingerprint("b")) == (True, "B")
 
     def test_stage_namespaces_are_disjoint(self, tmp_path):
         cache = StageCache(tmp_path)
-        assert cache.get_or_compute("s1", ("k",), lambda: 1) == 1
-        assert cache.get_or_compute("s2", ("k",), lambda: 2) == 2
+        key = fingerprint("k")
+        cache.put("s1", key, 1)
+        assert cache.get("s2", key) == (False, None)
+        cache.put("s2", key, 2)
+        assert cache.get("s1", key) == (True, 1)
+        assert cache.get("s2", key) == (True, 2)
 
     def test_corrupted_entry_detected_and_recomputed(self, tmp_path):
         cache = StageCache(tmp_path)
-        cache.get_or_compute("s", ("k",), lambda: {"v": 1})
+        key = fingerprint("k")
+        cache.put("s", key, {"v": 1})
         (entry,) = list((tmp_path / "s").rglob("*.bin"))
         blob = bytearray(entry.read_bytes())
         blob[-1] ^= 0xFF  # flip a payload byte -> checksum mismatch
         entry.write_bytes(bytes(blob))
 
         fresh = StageCache(tmp_path)
-        value = fresh.get_or_compute("s", ("k",), lambda: {"v": 2})
-        # The damaged entry is never trusted: recomputed, not loaded.
-        assert value == {"v": 2}
+        # The damaged entry is never trusted: a miss, not a load.
+        assert fresh.get("s", key) == (False, None)
         assert fresh.stats.corrupt == 1 and fresh.stats.misses == 1
+        fresh.put("s", key, {"v": 2})
         # ...and the rewritten entry is healthy again.
-        assert StageCache(tmp_path).get_or_compute(
-            "s", ("k",), lambda: {"v": 3}
-        ) == {"v": 2}
+        assert StageCache(tmp_path).get("s", key) == (True, {"v": 2})
 
     def test_truncated_entry_is_a_miss(self, tmp_path):
         cache = StageCache(tmp_path)
-        cache.get_or_compute("s", ("k",), lambda: "value")
+        key = fingerprint("k")
+        cache.put("s", key, "value")
         (entry,) = list((tmp_path / "s").rglob("*.bin"))
         entry.write_bytes(entry.read_bytes()[:10])
-        fresh = StageCache(tmp_path)
-        assert fresh.get_or_compute("s", ("k",), lambda: "new") == "new"
+        assert StageCache(tmp_path).get("s", key) == (False, None)
 
     def test_store_failure_degrades_to_uncached(self, tmp_path):
         # A full or failing disk costs the cache entry, never the
-        # computed value: get_or_compute still returns the result.
+        # computed value: put still returns the result.
         cache = StageCache(tmp_path)
 
         def broken_store(stage, key, value):
             raise OSError(28, "No space left on device")
 
         cache.store = broken_store
-        assert cache.get_or_compute("s", ("k",), lambda: "value") == "value"
+        key = fingerprint("k")
+        assert cache.put("s", key, "value") == "value"
         assert cache.stats.store_errors == 1
-        # Nothing was written; the next call recomputes.
-        fresh = StageCache(tmp_path)
-        assert fresh.get_or_compute("s", ("k",), lambda: "again") == "again"
+        # Nothing was written; the next lookup misses.
+        assert StageCache(tmp_path).get("s", key) == (False, None)
 
 
 class TestEviction:
@@ -138,7 +142,7 @@ class TestEviction:
     def test_unbounded_cache_never_evicts(self, tmp_path):
         cache = StageCache(tmp_path)
         for index in range(20):
-            cache.store("s", cache.key("s", (index,)), b"x" * 512)
+            cache.store("s", fingerprint(index), b"x" * 512)
         assert len(cache._entries()) == 20
         assert cache.stats.evictions == 0
 
@@ -146,7 +150,7 @@ class TestEviction:
         # Entries are ~560 bytes each (checksum + pickled payload);
         # a 2000-byte budget holds three of them.
         cache = StageCache(tmp_path, max_bytes=2000)
-        keys = [cache.key("s", (index,)) for index in range(4)]
+        keys = [fingerprint(index) for index in range(4)]
         for age, key in zip((30, 20, 10), keys[:3]):
             cache.store("s", key, b"x" * 512)
             self._age(cache, "s", key, age)
@@ -159,7 +163,7 @@ class TestEviction:
 
     def test_hit_refreshes_recency(self, tmp_path):
         cache = StageCache(tmp_path, max_bytes=2000)
-        keys = [cache.key("s", (index,)) for index in range(4)]
+        keys = [fingerprint(index) for index in range(4)]
         for age, key in zip((30, 20, 10), keys[:3]):
             cache.store("s", key, b"x" * 512)
             self._age(cache, "s", key, age)
@@ -172,7 +176,7 @@ class TestEviction:
 
     def test_budget_smaller_than_one_entry(self, tmp_path):
         cache = StageCache(tmp_path, max_bytes=64)
-        key = cache.key("s", ("big",))
+        key = fingerprint("big")
         cache.store("s", key, b"x" * 4096)
         # Even the just-written entry goes when it alone busts the
         # budget: a bounded cache never grows past its bound.
@@ -189,15 +193,15 @@ class TestEviction:
             max_bytes=1200,
         )
         for index in range(4):
-            cache.store("s", cache.key("s", (index,)), b"x" * 512)
+            cache.store("s", fingerprint(index), b"x" * 512)
         counters = metrics.as_dict()["counters"]
         assert counters["runner.cache.evictions"] == cache.stats.evictions
         assert cache.stats.evictions >= 2
 
-    def test_get_or_compute_respects_budget(self, tmp_path):
+    def test_put_respects_budget(self, tmp_path):
         cache = StageCache(tmp_path, max_bytes=2000)
         for index in range(10):
-            cache.get_or_compute("s", (index,), lambda: b"x" * 512)
+            cache.put("s", fingerprint(index), b"x" * 512)
         assert cache.total_bytes() <= 2000
         assert cache.stats.evictions > 0
 

@@ -3,13 +3,10 @@
 Three layers:
 
 * unit tests of the generic contract (context layering, toposort,
-  entry points, degradation ladders);
-* the *golden key-parity* tests: the graph's chained cache-key
-  material must equal — part for part, fingerprint for fingerprint —
-  the hand-written tuples the pipeline passed to ``StageCache``
-  before the refactor, and a cache primed old-style (legacy tuples,
-  values computed by direct stage calls) must serve a graph-driven
-  run with zero misses;
+  entry points, lazy dependency resolution, degradation ladders);
+* the *Merkle key* tests: a golden digest per stage over fixed tiny
+  inputs pins the on-disk entry names, and changing one input changes
+  exactly the keys of the stages downstream of it;
 * the degradation ladder as data: every rung of the pipeline's
   template/segment ladders produces the same meta and health
   fallbacks the hand-written ladders did.
@@ -30,16 +27,20 @@ from repro.core.pipeline import (
     SegmentationPipeline,
     bind_token_cache,
 )
-from repro.core.stages import Degradation, Stage, StageContext, StageGraph
+from repro.core.stages import (
+    CACHE_SCHEMA,
+    Degradation,
+    Stage,
+    StageContext,
+    StageGraph,
+)
 from repro.crawl.resilient import CrawlHealth
-from repro.csp.segmenter import CspSegmenter
-from repro.extraction.extracts import extract_strings
-from repro.extraction.observations import ObservationTable
+from repro.csp.segmenter import CspConfig
+from repro.extraction.matching import MatchOptions
+from repro.obs import ManualClock, Observability
 from repro.relational.detail_fields import detail_field_pairs
 from repro.runner.cache import MemoryStageCache, StageCache, fingerprint
 from repro.sitegen.corpus import build_site
-from repro.template.finder import TemplateFinder
-from repro.template.table_slot import resolve_table_regions
 from repro.webdoc.page import Page
 
 
@@ -129,7 +130,62 @@ class TestStageGraphStructure:
     def test_key_material_requires_declared_key(self):
         graph = StageGraph((Stage(name="a", compute=lambda ctx: 1),))
         with pytest.raises(ValueError, match="no cache key"):
-            graph.key_material("a", StageContext())
+            graph.key("a", StageContext())
+
+    def test_hit_resolves_no_dependency(self):
+        ran: list[str] = []
+
+        def stage(name, deps=()):
+            return Stage(
+                name=name,
+                deps=deps,
+                key=lambda ctx: (),
+                compute=lambda ctx: ran.append(name) or name,
+                span=f"s.{name}",
+                counters=lambda value, ctx: ((f"n.{name}", 1),),
+            )
+
+        graph = StageGraph(
+            (stage("a"), stage("b", ("a",)), stage("c", ("b",)))
+        )
+        cache = MemoryStageCache()
+        graph.run(StageContext(), targets=("c",), cache=cache)
+        assert ran == ["a", "b", "c"]
+        assert (cache.stats.hits, cache.stats.misses) == (0, 3)
+
+        obs = Observability(clock=ManualClock(tick=1.0))
+        warm = graph.run(StageContext(), targets=("c",), obs=obs, cache=cache)
+        assert ran == ["a", "b", "c"] and warm["c"] == "c"
+        assert "a" not in warm and "b" not in warm  # nothing upstream read
+        assert (cache.stats.hits, cache.stats.misses) == (1, 3)
+        assert [span.name for span in obs.tracer.roots] == ["s.c"]
+        assert obs.metrics.as_dict()["counters"] == {"n.c": 1}
+
+    def test_miss_loads_only_the_dependencies_it_needs(self):
+        ran: list[str] = []
+        graph = StageGraph(
+            (
+                Stage(
+                    name="a",
+                    key=lambda ctx: (),
+                    compute=lambda ctx: ran.append("a") or 1,
+                ),
+                Stage(
+                    name="b",
+                    deps=("a",),
+                    key=lambda ctx: (ctx["knob"],),
+                    compute=lambda ctx: ran.append("b") or ctx["a"] + ctx["knob"],
+                ),
+            )
+        )
+        cache = MemoryStageCache()
+        graph.run(StageContext({"knob": 1}), targets=("b",), cache=cache)
+        tweaked = graph.run(
+            StageContext({"knob": 2}), targets=("b",), cache=cache
+        )
+        # "b" missed under the new knob and read "a" from the cache.
+        assert ran == ["a", "b", "b"] and tweaked["b"] == 3
+        assert (cache.stats.hits, cache.stats.misses) == (1, 3)
 
 
 class TestDegradationLadder:
@@ -230,90 +286,138 @@ class TestDegradationLadder:
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
 
-def _legacy_key_tuples(site, method="csp", config=None):
-    """The pre-refactor hand-written cache-key tuples, frozen here.
+def _key_inputs(
+    method="csp",
+    config=None,
+    list_html="<ul><li>Ann</li><li>Bob</li></ul>",
+    detail_html="<p>Name: Ann</p>",
+):
+    """Every stage key input for a fixed two-list-page, one-detail site."""
+    return (
+        method,
+        config or PipelineConfig(),
+        [Page("l0.html", list_html), Page("l1.html", "<ul><li>Cy</li></ul>")],
+        [Page("r0.html", detail_html)],
+    )
 
-    These reproduce, part for part, the tuples the old
-    ``SegmentationPipeline._cached`` call sites built inline; the
-    golden tests below assert the graph's chained key material stays
-    byte-identical to them.
+
+def _stage_keys(method, config, list_pages, details):
+    """Each stage's key, in contexts seeded the way the pipeline does.
+
+    ``tokenize`` is keyed once per page, by URL.
     """
-    config = config or PipelineConfig()
-    list_pages = site.list_pages
-    list_htmls = [page.html for page in list_pages]
-    details = [site.detail_pages(i) for i in range(len(list_pages))]
-    method_config = {
-        "csp": config.csp,
-        "prob": config.prob,
-        "hybrid": (config.csp, config.prob),
-    }[method]
-
-    template = (list_htmls, config.template)
-    per_page = []
-    for index in range(len(list_pages)):
-        extracts = template + (index, config.allowed_punct)
-        observations = extracts + (
-            [page.html for page in details[index]],
-            config.match,
-        )
-        segment = observations + (method, method_config)
-        per_page.append(
-            {
-                "extracts": extracts,
-                "observations": observations,
-                "segment": segment,
-            }
-        )
-    tokenize = {
-        page.url: (page.html,)
-        for page in list_pages + [p for group in details for p in group]
+    site = SegmentationPipeline(method, config)._site_context(
+        list_pages, None
+    )
+    page = site.child(index=0, details=details)
+    keys = {
+        stage: PIPELINE_GRAPH.key(stage, page)
+        for stage in ("template", "extracts", "observations", "segment")
     }
-    return template, per_page, tokenize, details
+    keys["detail_fields"] = PIPELINE_GRAPH.key(
+        "detail_fields", StageContext({"details": details, "config": config})
+    )
+    for each in list_pages[:1] + details:
+        keys[f"tokenize {each.url}"] = PIPELINE_GRAPH.key(
+            "tokenize", StageContext({"page": each})
+        )
+    return keys
+
+
+#: The keys of ``_stage_keys(*_key_inputs())``: the on-disk entry
+#: names.  They change with ``CACHE_SCHEMA``, the key rule, or the
+#: fields of a config class a key covers.
+GOLDEN_KEYS = {
+    "template": "b52f0a3d50a4c8623f9dcbb9d313bf721d186f152b36d80984ce427bcd46dd6f",
+    "extracts": "1d3e691d1746e3cd1a9d1713d3115427dea55828825fb44a78ccac0eaab75c3d",
+    "observations": "c6b8e5943b622b42d37d1ee0446e82d96d9237db28a0acc861e29327197e29f1",
+    "segment": "2196302e349a8e4d2159c33a5d59328848a82bb38d3eaed519890583f074534a",
+    "detail_fields": "798e48f3a56e735fc4ebf9ec1c725234534c853d52afd3379fb9eb65f356ab80",
+    "tokenize l0.html": "7958f5b0d9eb1eec581eaf3c6e7b328e745906536480a9382f302e6d69735e22",
+    "tokenize r0.html": "f68d227d32c14844b2a142ef5497c2c7c98c8ef32ca0985c6039d635e0277d55",
+}
+
+#: One input changed at a time → exactly the stage keys downstream of it.
+DOWNSTREAM = [
+    (
+        "list page",
+        _key_inputs(list_html="<ul><li>Ann</li><li>Di</li></ul>"),
+        {"tokenize l0.html", "template", "extracts", "observations", "segment"},
+    ),
+    (
+        "detail page",
+        _key_inputs(detail_html="<p>Name: Bo</p>"),
+        {"tokenize r0.html", "observations", "segment", "detail_fields"},
+    ),
+    (
+        "allowed_punct",
+        _key_inputs(
+            config=PipelineConfig(
+                allowed_punct=frozenset(".,"),
+                match=MatchOptions(allowed_punct=frozenset(".,")),
+            )
+        ),
+        {"extracts", "observations", "segment", "detail_fields"},
+    ),
+    (
+        "MatchOptions",
+        _key_inputs(config=PipelineConfig(match=MatchOptions(casefold=True))),
+        {"observations", "segment"},
+    ),
+    (
+        "CspConfig",
+        _key_inputs(config=PipelineConfig(csp=CspConfig(seed=7))),
+        {"segment"},
+    ),
+    ("method", _key_inputs(method="prob"), {"segment"}),
+]
 
 
 class TestGoldenKeyParity:
-    """Satellite: graph key material == pre-refactor tuples."""
+    """Stage keys chain their dependencies' keys (a Merkle hash)."""
 
     @pytest.fixture()
     def site(self):
         return build_site("lee")
 
-    @pytest.mark.parametrize("method", ["csp", "prob", "hybrid"])
-    def test_key_material_matches_legacy_tuples(self, site, method):
-        config = PipelineConfig()
-        template_key, per_page, tokenize_keys, details = _legacy_key_tuples(
-            site, method, config
-        )
-        pipeline = SegmentationPipeline(method, config)
-        ctx = pipeline._site_context(site.list_pages, None)
-        PIPELINE_GRAPH.run(ctx, targets=("template",))
+    def test_golden_key_per_stage(self):
+        assert _stage_keys(*_key_inputs()) == GOLDEN_KEYS
 
-        assert PIPELINE_GRAPH.key_material("template", ctx) == list(
-            template_key
+    @pytest.mark.parametrize(
+        "changed, inputs, downstream",
+        DOWNSTREAM,
+        ids=[row[0] for row in DOWNSTREAM],
+    )
+    def test_one_input_changes_exactly_its_downstream_keys(
+        self, changed, inputs, downstream
+    ):
+        base = _stage_keys(*_key_inputs())
+        keys = _stage_keys(*inputs)
+        assert base.keys() == keys.keys()
+        assert {stage for stage in keys if keys[stage] != base[stage]} == (
+            downstream
+        ), changed
+
+    def test_key_chains_dependency_keys(self):
+        method, config, list_pages, details = _key_inputs()
+        site = SegmentationPipeline(method, config)._site_context(
+            list_pages, None
         )
-        for index, region in enumerate(ctx["regions"]):
-            page_ctx = ctx.child(
-                index=index,
-                region=region,
-                details=details[index],
-                other_lists=[
-                    page
-                    for position, page in enumerate(site.list_pages)
-                    if position != index
-                ],
-            )
-            for stage in ("extracts", "observations", "segment"):
-                material = PIPELINE_GRAPH.key_material(stage, page_ctx)
-                assert material == list(per_page[index][stage]), stage
-                # Same fingerprint => same on-disk cache entry path.
-                assert fingerprint(stage, material) == fingerprint(
-                    stage, list(per_page[index][stage])
-                )
-        for page in site.list_pages:
-            tok_ctx = StageContext({"page": page})
-            assert PIPELINE_GRAPH.key_material("tokenize", tok_ctx) == list(
-                tokenize_keys[page.url]
-            )
+        template = PIPELINE_GRAPH.key("template", site)
+        page = site.child(index=0, details=details)
+        assert PIPELINE_GRAPH.key("segment", page) == fingerprint(
+            "segment",
+            CACHE_SCHEMA,
+            [PIPELINE_GRAPH.key("observations", page)],
+            method,
+            config.csp,
+        )
+        assert PIPELINE_GRAPH.key("extracts", page) == fingerprint(
+            "extracts", CACHE_SCHEMA, [template], 0, config.allowed_punct
+        )
+        # Computed once per context: the site's template key is reused.
+        assert page.keys.keys() == {"extracts", "observations", "segment"}
+        assert site.keys.keys() == {"template"}
 
     def test_detail_fields_key_material_golden(self, site):
         """``detail_fields`` keys on detail-page bytes + punctuation only.
@@ -326,10 +430,13 @@ class TestGoldenKeyParity:
         details = site.detail_pages(0)
         ctx = StageContext({"details": details, "config": config})
         assert PIPELINE_GRAPH.stage("detail_fields").deps == ()
-        assert PIPELINE_GRAPH.key_material("detail_fields", ctx) == [
+        assert PIPELINE_GRAPH.key("detail_fields", ctx) == fingerprint(
+            "detail_fields",
+            CACHE_SCHEMA,
+            [],
             [page.html for page in details],
             config.allowed_punct,
-        ]
+        )
         fixed = StageContext(
             {
                 "details": [
@@ -339,9 +446,9 @@ class TestGoldenKeyParity:
                 "config": config,
             }
         )
-        assert fingerprint(
-            "detail_fields", PIPELINE_GRAPH.key_material("detail_fields", fixed)
-        ) == "8fa6d2ce3e1a295515f973157e6195d18508ce0fbcd266bfe9bf451c2be56a14"
+        assert PIPELINE_GRAPH.key("detail_fields", fixed) == (
+            "b2a972aaff8e5eaf9271e275a72c2c65a95bded4198c6d95db5ecee4d72dd4e7"
+        )
 
     def test_detail_fields_stage_is_the_relational_parse(self, tmp_path, site):
         details = site.detail_pages(0)
@@ -356,64 +463,30 @@ class TestGoldenKeyParity:
         # A cache hit never tokenizes the detail pages.
         assert all(page._tokens is None for page in fresh)
 
-    def test_legacy_primed_cache_serves_graph_run_warm(self, tmp_path, site):
-        """A cache primed with pre-refactor keys gives 100% hits."""
-        config = PipelineConfig()
-        method = "csp"
-        template_key, per_page, tokenize_keys, details = _legacy_key_tuples(
-            site, method, config
+    def test_warm_site_reads_one_entry_per_output(self, tmp_path, site):
+        details = [site.detail_pages(i) for i in range(len(site.list_pages))]
+        cold = SegmentationPipeline("csp", cache=StageCache(tmp_path))
+        cold_run = cold.segment_site(site.list_pages, details)
+        warm_cache = StageCache(tmp_path)
+        obs = Observability(clock=ManualClock(tick=1.0))
+        warm = SegmentationPipeline("csp", obs=obs, cache=warm_cache)
+        warm_run = warm.segment_site(site.list_pages, details)
+        # One template entry, then one segment entry per list page.
+        pages = len(site.list_pages)
+        assert (warm_cache.stats.hits, warm_cache.stats.misses) == (
+            1 + pages,
+            0,
         )
-        cache = StageCache(tmp_path)
-
-        # Prime old-style: hand-built key tuples, values from direct
-        # stage calls (no stage graph anywhere in this block).
-        for page in site.list_pages + [
-            page for group in details for page in group
-        ]:
-            cache.store(
-                "tokenize",
-                cache.key("tokenize", tokenize_keys.get(page.url, (page.html,))),
-                page.tokens(),
-            )
-        verdict = TemplateFinder(config.template).find(site.list_pages)
-        cache.store("template", cache.key("template", template_key), verdict)
-        regions = resolve_table_regions(site.list_pages, verdict)
-        for index, region in enumerate(regions):
-            extracts = extract_strings(region, config.allowed_punct)
-            cache.store(
-                "extracts",
-                cache.key("extracts", per_page[index]["extracts"]),
-                extracts,
-            )
-            table = ObservationTable.build(
-                extracts,
-                details[index],
-                other_list_pages=[
-                    page
-                    for position, page in enumerate(site.list_pages)
-                    if position != index
-                ],
-                options=config.match,
-            )
-            cache.store(
-                "observations",
-                cache.key("observations", per_page[index]["observations"]),
-                table,
-            )
-            segmentation = CspSegmenter(config.csp).segment(table)
-            cache.store(
-                "segment",
-                cache.key("segment", per_page[index]["segment"]),
-                segmentation,
-            )
-
-        warm = StageCache(tmp_path)
-        pipeline = SegmentationPipeline(method, config, cache=warm)
-        run = pipeline.segment_site(site.list_pages, details)
-        assert warm.stats.misses == 0
-        assert warm.stats.hits > 0
-        assert len(run.pages) == len(site.list_pages)
-        assert all(page_run.segmentation.records for page_run in run.pages)
+        for cold_page, warm_page in zip(cold_run.pages, warm_run.pages):
+            assert warm_page.segmentation.records == cold_page.segmentation.records
+            assert warm_page.table is warm_page.segmentation.table
+        for page_span in obs.tracer.find("pipeline.page"):
+            assert [child.name for child in page_span.children] == [
+                "pipeline.segment"
+            ]
+        counters = obs.metrics.as_dict()["counters"]
+        assert "pipeline.extracts" not in counters
+        assert "pipeline.observations" not in counters
 
 
 class TestTokenBinding:
@@ -517,12 +590,17 @@ class TestPipelineLadderAsData:
 class TestMemoryStageCache:
     def test_round_trip_isolates_values(self):
         cache = MemoryStageCache()
-        stored = cache.get_or_compute("s", ("k",), lambda: {"v": [1]})
+        key = fingerprint("k")
+        assert cache.get("s", key) == (False, None)
+        stored = cache.put("s", key, {"v": [1]})
         stored["v"].append(2)  # mutating a returned value...
-        again = cache.get_or_compute("s", ("k",), lambda: {"v": [3]})
-        assert again == {"v": [1]}  # ...never poisons the cache
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
+        found, again = cache.get("s", key)
+        assert found and again == {"v": [1]}  # ...never poisons the cache
+        again["v"].append(3)
+        assert cache.get("s", key) == (True, {"v": [1]})
+        assert cache.stats.hits == 2 and cache.stats.misses == 1
         assert len(cache) == 1
+        assert cache.get("other", key) == (False, None)  # per-stage entries
 
     def test_method_sweep_shares_upstream_stages(self):
         site = build_site("lee")
