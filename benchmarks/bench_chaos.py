@@ -8,9 +8,10 @@ measures that contract end to end: for each fault mix a real
 workers sharing one ``SO_REUSEPORT`` port and one disk wrapper
 registry) and driven by the retrying
 :class:`~repro.serve.client.ServeClient`; faults come from a seeded
-:class:`~repro.serve.chaos.ChaosPlan` shipped to the workers as a
-JSON file, so every run replays the same kill/hang/cache-fault
-schedule.
+:class:`~repro.serve.chaos.ChaosPlan` that
+:func:`~repro.serve.supervisor.worker_command` ships to each worker
+with the rest of its configuration, so every run replays the same
+kill/hang/cache-fault schedule.
 
 Reported per mix: availability (fraction of requests answering 200),
 client-side p50/p99 wall latency, client retries, and the
@@ -39,18 +40,18 @@ from __future__ import annotations
 import json
 import os
 import statistics
-import sys
 import tempfile
 import threading
 import time
 from pathlib import Path
 
-from repro.serve import ServeClient, payload_from_pages
+from repro.serve import ServeClient, ServiceConfig, payload_from_pages
 from repro.serve.chaos import ChaosPlan
 from repro.serve.supervisor import (
     Supervisor,
     SupervisorConfig,
     supports_reuse_port,
+    worker_command,
 )
 
 import pytest
@@ -119,26 +120,16 @@ def full_payload(corpus):
 def run_mix(corpus, name, plan, requests):
     """One supervised fleet, one fault mix; returns the measurements."""
     workdir = Path(tempfile.mkdtemp(prefix=f"chaos-{name}-"))
-    plan_path = workdir / "plan.json"
-    plan_path.write_text(json.dumps(plan.as_dict()))
-
-    def worker_command(spawn):
-        return [
-            sys.executable, "-m", "repro", "serve",
-            "--port", str(spawn.port),
-            "--workers", "1",
-            "--max-queue", "8",
-            "--deadline", "5.0",
-            "--hung-grace", "0.5",
-            "--wrapper-cache-dir", str(workdir / "wrappers"),
-            "--chaos-plan", str(plan_path),
-            "--_worker-index", str(spawn.index),
-            "--_generation", str(spawn.generation),
-            "--_heartbeat-fd", str(spawn.heartbeat_fd),
-            "--_heartbeat-interval", str(spawn.heartbeat_interval_s),
-        ]
-
-    supervisor = Supervisor(worker_command, SUPERVISOR_CONFIG, port=0)
+    config = ServiceConfig(
+        workers=1,
+        max_queue=8,
+        deadline_s=5.0,
+        hung_grace_s=0.5,
+        wrapper_cache_dir=str(workdir / "wrappers"),
+    )
+    supervisor = Supervisor(
+        worker_command(config, "127.0.0.1", plan), SUPERVISOR_CONFIG, port=0
+    )
     supervisor.bind()  # resolve port 0 before the client needs the address
     codes: list[int] = []
     thread = threading.Thread(

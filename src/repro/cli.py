@@ -35,7 +35,8 @@ can and the full pipeline when it must, with admission control and
 graceful SIGTERM draining.  ``--procs N`` puts a supervising parent
 in front of N crash-isolated worker processes sharing the port via
 ``SO_REUSEPORT``, restarting dead workers under a crash budget — see
-``docs/serving.md``.
+``docs/serving.md``.  Every serving process runs
+:func:`repro.serve.supervisor.run_worker`, with or without ``--procs``.
 
 ``--json`` on ``segment`` and ``segment-dir`` swaps the human output
 for the machine-readable summary the service shares
@@ -75,14 +76,7 @@ def _rate(text: str) -> float:
     return value
 
 
-def _request_budget(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive count")
-    return value
-
-
-def _worker_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} is not a positive count")
@@ -171,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     segment.add_argument(
         "--max-requests",
-        type=_request_budget,
+        type=_positive_int,
         default=None,
         help="per-site request budget for the chaos crawl",
     )
@@ -199,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     table4.add_argument(
         "--workers",
-        type=_worker_count,
+        type=_positive_int,
         default=1,
         help="run the experiment's sites on a process pool this wide",
     )
@@ -224,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     export_corpus.add_argument(
         "--mixed",
-        type=_worker_count,
+        type=_positive_int,
         default=None,
         metavar="SLOTS",
         help=(
@@ -278,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ingest.add_argument(
         "--min-details",
-        type=_worker_count,
+        type=_positive_int,
         default=2,
         help="minimum detail pages per list page",
     )
@@ -308,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ingest.add_argument(
         "--max-requests",
-        type=_worker_count,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="fetch mode: hard crawl budget in fetch requests",
@@ -372,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     segment_dir.add_argument(
         "--workers",
-        type=_worker_count,
+        type=_positive_int,
         default=1,
         help="process-pool width (1 = run inline, serially)",
     )
@@ -431,13 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers",
-        type=_worker_count,
+        type=_positive_int,
         default=2,
         help="segmentation worker threads",
     )
     serve.add_argument(
         "--max-queue",
-        type=_worker_count,
+        type=_positive_int,
         default=8,
         help="admission-control queue depth (full queue answers 429)",
     )
@@ -492,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--procs",
-        type=_worker_count,
+        type=_positive_int,
         default=1,
         help=(
             "worker processes under a supervising parent; >1 needs "
@@ -534,24 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
             "online and answer GET /query from it"
         ),
     )
-    # Hidden plumbing: how a supervisor tells the worker process who
-    # it is.  Never set by hand.
-    serve.add_argument(
-        "--_worker-index", dest="_worker_index", type=int, default=None,
-        help=argparse.SUPPRESS,
-    )
-    serve.add_argument(
-        "--_generation", dest="_generation", type=int, default=0,
-        help=argparse.SUPPRESS,
-    )
-    serve.add_argument(
-        "--_heartbeat-fd", dest="_heartbeat_fd", type=int, default=None,
-        help=argparse.SUPPRESS,
-    )
-    serve.add_argument(
-        "--_heartbeat-interval", dest="_heartbeat_interval", type=float,
-        default=0.25, help=argparse.SUPPRESS,
-    )
 
     query = commands.add_parser(
         "query",
@@ -571,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--limit",
-        type=_request_budget,
+        type=_positive_int,
         default=20,
         metavar="N",
         help="maximum unioned rows returned",
@@ -591,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_sites(out) -> int:
+def _cmd_sites(args, out) -> int:
     corpus = build_corpus()
     print(f"{'site':<14} {'domain':<12} {'records':<9} layout", file=out)
     for site in corpus.sites:
@@ -1047,16 +1023,15 @@ def _cmd_ingest(args, out) -> int:
     return 0 if bundle_total else 1
 
 
-def _service_config(args, wrapper_cache_dir=None):
-    from repro.crawl.resilient import CrawlBudget
+def _service_config(args):
     from repro.serve import ServiceConfig
 
     return ServiceConfig(
         method=args.method,
         drift_threshold=args.drift_threshold,
-        wrapper_cache_dir=wrapper_cache_dir or args.wrapper_cache_dir,
+        wrapper_cache_dir=args.wrapper_cache_dir,
         wrapper_cache_max_bytes=args.wrapper_cache_max_bytes,
-        request_budget=CrawlBudget(deadline_s=args.deadline),
+        deadline_s=args.deadline,
         workers=args.workers,
         max_queue=args.max_queue,
         hung_grace_s=args.hung_grace,
@@ -1064,53 +1039,27 @@ def _service_config(args, wrapper_cache_dir=None):
     )
 
 
-def _run_supervised(args, out) -> int:
+def _run_supervised(args, config, chaos_plan, out) -> int:
     """``serve --procs N``: supervise N worker processes."""
+    import dataclasses
     import shutil
-    import sys as sys_module
     import tempfile
 
-    from repro.serve import Supervisor, SupervisorConfig
+    from repro.serve.supervisor import (
+        Supervisor,
+        SupervisorConfig,
+        worker_command,
+    )
 
     # Crash survivability needs shared state: without an explicit
     # wrapper dir, give the fleet a throwaway one so a restarted
     # worker still warms from its predecessors' wrappers.
-    wrapper_dir = args.wrapper_cache_dir
     cleanup_dir = None
-    if wrapper_dir is None:
-        wrapper_dir = cleanup_dir = tempfile.mkdtemp(prefix="repro-wrappers-")
-
-    def worker_command(spawn):
-        argv = [
-            sys_module.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--host", args.host,
-            "--port", str(spawn.port),
-            "--workers", str(args.workers),
-            "--max-queue", str(args.max_queue),
-            "--method", args.method,
-            "--wrapper-cache-dir", wrapper_dir,
-            "--wrapper-cache-max-bytes", str(args.wrapper_cache_max_bytes),
-            "--deadline", str(args.deadline),
-            "--drift-threshold", str(args.drift_threshold),
-            "--hung-grace", str(args.hung_grace),
-            "--_worker-index", str(spawn.index),
-            "--_generation", str(spawn.generation),
-            "--_heartbeat-fd", str(spawn.heartbeat_fd),
-            "--_heartbeat-interval", str(spawn.heartbeat_interval_s),
-        ]
-        if args.mem_limit_mb is not None:
-            argv += ["--mem-limit-mb", str(args.mem_limit_mb)]
-        if args.chaos_plan is not None:
-            argv += ["--chaos-plan", args.chaos_plan]
-        if args.store is not None:
-            argv += ["--store", args.store]
-        return argv
-
+    if config.wrapper_cache_dir is None:
+        cleanup_dir = tempfile.mkdtemp(prefix="repro-wrappers-")
+        config = dataclasses.replace(config, wrapper_cache_dir=cleanup_dir)
     supervisor = Supervisor(
-        worker_command,
+        worker_command(config, args.host, chaos_plan, args.mem_limit_mb),
         SupervisorConfig(
             procs=args.procs,
             crash_budget=args.crash_budget,
@@ -1129,44 +1078,21 @@ def _run_supervised(args, out) -> int:
 
 
 def _cmd_serve(args, out) -> int:
-    from repro.serve import (
-        SegmentationServer,
-        SegmentationService,
-        load_chaos_plan,
-        run_worker,
-    )
+    from repro.serve.chaos import load_chaos_plan
+    from repro.serve.supervisor import run_worker
 
-    chaos_plan = (
-        load_chaos_plan(args.chaos_plan) if args.chaos_plan else None
-    )
-    if args._worker_index is not None:
-        # Supervised worker process (hidden CLI path).
-        return run_worker(
-            _service_config(args),
-            host=args.host,
-            port=args.port,
-            heartbeat_fd=args._heartbeat_fd,
-            heartbeat_interval_s=args._heartbeat_interval,
-            worker_index=args._worker_index,
-            generation=args._generation,
-            chaos_plan=chaos_plan,
-            mem_limit_mb=args.mem_limit_mb,
-            out=None,
-        )
+    chaos_plan = load_chaos_plan(args.chaos_plan) if args.chaos_plan else None
+    config = _service_config(args)
     if args.procs > 1:
-        return _run_supervised(args, out)
-    from repro.serve.supervisor import apply_memory_limit
-
-    apply_memory_limit(args.mem_limit_mb)
-    service = SegmentationService(_service_config(args))
-    server = SegmentationServer(service, host=args.host, port=args.port)
-    if chaos_plan is not None:
-        from repro.serve import ChaosInjector
-
-        server.request_hook = ChaosInjector(
-            chaos_plan, 0, 0, metrics=service.metrics
-        ).on_request
-    return server.run(out=out)
+        return _run_supervised(args, config, chaos_plan, out)
+    return run_worker(
+        config,
+        host=args.host,
+        port=args.port,
+        chaos_plan=chaos_plan,
+        mem_limit_mb=args.mem_limit_mb,
+        out=out,
+    )
 
 
 def _cmd_query(args, out) -> int:
@@ -1230,28 +1156,22 @@ def _cmd_show(args, out) -> int:
     return 0
 
 
+_COMMANDS = {
+    "sites": _cmd_sites,
+    "segment": _cmd_segment,
+    "table4": _cmd_table4,
+    "export": _cmd_export,
+    "export-corpus": _cmd_export_corpus,
+    "ingest": _cmd_ingest,
+    "segment-dir": _cmd_segment_dir,
+    "serve": _cmd_serve,
+    "query": _cmd_query,
+    "show": _cmd_show,
+}
+
+
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    if args.command == "sites":
-        return _cmd_sites(out)
-    if args.command == "segment":
-        return _cmd_segment(args, out)
-    if args.command == "table4":
-        return _cmd_table4(args, out)
-    if args.command == "export":
-        return _cmd_export(args, out)
-    if args.command == "export-corpus":
-        return _cmd_export_corpus(args, out)
-    if args.command == "ingest":
-        return _cmd_ingest(args, out)
-    if args.command == "segment-dir":
-        return _cmd_segment_dir(args, out)
-    if args.command == "serve":
-        return _cmd_serve(args, out)
-    if args.command == "query":
-        return _cmd_query(args, out)
-    if args.command == "show":
-        return _cmd_show(args, out)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return _COMMANDS[args.command](args, out)

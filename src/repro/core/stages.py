@@ -26,8 +26,9 @@ declaration, not re-plumbing four call sites.
 
 This module is deliberately generic: it knows nothing about pages,
 templates or segmenters.  The paper's concrete stage catalogue lives
-in :mod:`repro.core.pipeline` (see ``PIPELINE_GRAPH`` there), and the
-online service declares its own stages in :mod:`repro.serve.service`.
+in :mod:`repro.core.pipeline` (see ``PIPELINE_GRAPH`` there), the only
+graph built from it; the online service runs that graph inside its
+``serve.pipeline`` span.
 
 Contract guarantees the executor upholds:
 

@@ -30,7 +30,8 @@ Module map (request logic is transport-free by design):
 * :mod:`~repro.serve.supervisor` — multi-process serving: a parent
   holds the ``SO_REUSEPORT`` port and keeps N worker processes alive
   via heartbeats, exponential-backoff restarts and a rolling crash
-  budget (:class:`Supervisor`);
+  budget (:class:`Supervisor`); every serving process, supervised or
+  not, runs its :func:`run_worker`;
 * :mod:`~repro.serve.chaos` — seeded fault injection for the serving
   path: worker kills, hung handlers, slow/corrupt cache reads,
   disk-full writes (:class:`ChaosPlan`);
@@ -72,6 +73,7 @@ _EXPORTS = {
         "SupervisorConfig",
         "run_worker",
         "supports_reuse_port",
+        "worker_command",
     ),
 }
 

@@ -10,12 +10,11 @@ server real capacity behavior instead of thread-per-request collapse:
 * **admission control** — ``queue.put_nowait`` on a full queue is an
   instant ``429 Too Many Requests`` with a ``Retry-After`` hint; the
   server sheds load at the door instead of stacking it up;
-* **deadlines** — every job carries an absolute deadline from the
-  service's :class:`~repro.crawl.resilient.CrawlBudget`
-  (``request_budget.deadline_s``).  A handler waiting past it answers
-  ``504``; a worker that dequeues an already-expired or abandoned job
-  drops it (``serve.deadline_drops``) rather than burning CPU on an
-  answer nobody is waiting for;
+* **deadlines** — every job carries an absolute deadline,
+  ``ServiceConfig.deadline_s`` after admission.  A handler waiting
+  past it answers ``504``; a worker that dequeues an already-expired
+  or abandoned job drops it (``serve.deadline_drops``) rather than
+  burning CPU on an answer nobody is waiting for;
 * **a hung-handler watchdog** — a worker thread stuck inside a
   request (a wedged wrapper, an injected chaos hang) cannot shrink
   the pool: once a job sits past ``deadline + hung_grace_s`` the
@@ -33,9 +32,10 @@ whether by the worker that ran it, the watchdog that gave up on it,
 or the deadline drop — so the in-flight gauge can never leak and wedge
 the drain loop.
 
-Supervised operation (:mod:`repro.serve.supervisor`) adds two hooks:
-``reuse_port=True`` binds with ``SO_REUSEPORT`` so N worker processes
-share one port, and the supervisor's control pipe feeds
+Every ``repro serve`` process builds its server in
+:func:`repro.serve.supervisor.run_worker`.  Supervised operation adds
+two hooks: ``reuse_port=True`` binds with ``SO_REUSEPORT`` so N worker
+processes share one port, and the supervisor's control pipe feeds
 :attr:`~SegmentationServer.external_status` (``/healthz`` reports
 ``"degraded"`` when the parent says so) and
 :attr:`~SegmentationServer.external_metrics` (the parent's
@@ -86,7 +86,7 @@ class _Job:
 
     payload: Any
     trace_id: str
-    deadline: float | None
+    deadline: float
     done: threading.Event = field(default_factory=threading.Event)
     response: dict[str, Any] | None = None
     error: ServeError | None = None
@@ -94,7 +94,7 @@ class _Job:
     finalized: bool = False
 
     def expired(self, now: float) -> bool:
-        return self.deadline is not None and now >= self.deadline
+        return now >= self.deadline
 
 
 class SegmentationServer:
@@ -248,10 +248,7 @@ class SegmentationServer:
             now = self._now()
             with self._in_flight_lock:
                 stuck = [
-                    job
-                    for job in self._active
-                    if job.deadline is not None
-                    and now >= job.deadline + grace
+                    job for job in self._active if now >= job.deadline + grace
                 ]
             for job in stuck:
                 if self._finalize(
@@ -266,11 +263,9 @@ class SegmentationServer:
             return
         for _ in range(self.service.config.workers):
             self._spawn_worker()
-        if self.service.config.hung_grace_s is not None:
-            thread = threading.Thread(
-                target=self._watchdog_loop, name="serve-watchdog", daemon=True
-            )
-            thread.start()
+        threading.Thread(
+            target=self._watchdog_loop, name="serve-watchdog", daemon=True
+        ).start()
 
     # -- request paths -------------------------------------------------------
 
@@ -282,12 +277,7 @@ class SegmentationServer:
         """
         if self.draining.is_set():
             raise ServeError(503, "server is draining")
-        budget = self.service.config.request_budget
-        deadline = (
-            self._now() + budget.deadline_s
-            if budget.deadline_s is not None
-            else None
-        )
+        deadline = self._now() + self.service.config.deadline_s
         job = _Job(payload=payload, trace_id=trace_id, deadline=deadline)
         try:
             self.queue.put_nowait(job)
@@ -302,12 +292,7 @@ class SegmentationServer:
         Raises:
             ServeError: 504 when the deadline passes first.
         """
-        timeout = (
-            None
-            if job.deadline is None
-            else max(job.deadline - self._now(), 0.0)
-        )
-        if not job.done.wait(timeout):
+        if not job.done.wait(max(job.deadline - self._now(), 0.0)):
             job.abandoned = True
             self.service.metrics.counter("serve.deadline_hits").inc()
             raise ServeError(504, "deadline exceeded")

@@ -28,16 +28,14 @@ therefore serialize the same deterministic function of the page, which
 is what makes cold and warm responses byte-identical for an unchanged
 site — the end-to-end acceptance check.
 
-Both paths are *entry points into one stage graph*
-(:data:`SERVICE_GRAPH`), not parallel code paths: the warm
-wrapper-apply (+ drift scoring), the pipeline fallback, and wrapper
-re-induction are each a declared :class:`~repro.core.stages.Stage`
-whose span and counters the shared
-:class:`~repro.core.stages.StageGraph` executor emits — the same
-contract the batch pipeline's stages use.  The pipeline stage itself
-nests the full ``pipeline.*`` stage chain of
-:data:`~repro.core.pipeline.PIPELINE_GRAPH` under its ``serve.pipeline``
-span.
+:meth:`SegmentationService._segment` calls three steps directly,
+top to bottom, each inside its own span: ``serve.apply`` (wrap every
+list page and score drift), ``serve.pipeline`` (the full pipeline,
+which nests the :data:`~repro.core.pipeline.PIPELINE_GRAPH`
+``pipeline.*`` spans) and ``serve.induce`` (learn a wrapper from the
+first page with records; skipped when there is none).  Only the warm
+apply books an outcome (``serve.wrapper_hits`` or
+``serve.fallbacks``); the apply that follows an induction books none.
 
 Thread safety: one service instance is shared by every worker thread.
 The registry locks internally, the metrics registry is thread-safe,
@@ -56,14 +54,12 @@ from __future__ import annotations
 
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.config import METHODS
 from repro.core.exceptions import ConfigError, ExtractionError, ReproError
 from repro.core.pipeline import SegmentationPipeline, SiteRun
-from repro.core.stages import Degradation, Stage, StageContext, StageGraph
-from repro.crawl.resilient import CrawlBudget
 from repro.obs import MetricsRegistry, Observability
 from repro.relational.detail_fields import detail_field_pairs
 from repro.runner.cache import StageCache
@@ -86,19 +82,22 @@ from repro.wrapper.induce import RowWrapper, induce_wrapper
 _DEGRADED_META = ("segmenter_error", "empty_problem")
 
 __all__ = [
-    "SERVICE_GRAPH",
     "ServeError",
     "ServiceConfig",
     "SegmentationService",
 ]
 
 
-def _compute_apply(ctx: StageContext) -> tuple[list[dict[str, Any]], DriftVerdict]:
-    """Wrapper-extract every list page + judge output quality."""
-    wrapper = ctx["wrapper"]
+def _apply(
+    wrapper: RowWrapper,
+    list_pages: list[Page],
+    details: list[list[Page]],
+    threshold: float,
+) -> tuple[list[dict[str, Any]], DriftVerdict]:
+    """Wrapper-extract every list page and judge the output's quality."""
     pages: list[dict[str, Any]] = []
     scores: list[float] = []
-    for list_page, detail_pages in zip(ctx["list_pages"], ctx["details"]):
+    for list_page, detail_pages in zip(list_pages, details):
         rows = apply_wrapper(wrapper, list_page)
         scores.append(wrapped_page_quality(rows, detail_pages))
         pages.append(
@@ -109,78 +108,7 @@ def _compute_apply(ctx: StageContext) -> tuple[list[dict[str, Any]], DriftVerdic
             }
         )
     score = sum(scores) / len(scores) if scores else 0.0
-    return pages, DriftVerdict(
-        score=score, threshold=ctx["drift_threshold"]
-    )
-
-
-def _apply_counters(value, ctx: StageContext):
-    """Warm-path outcome counters (silent on the post-induction apply)."""
-    if not ctx.get("count_outcome"):
-        return ()
-    _, drift = value
-    if drift.drifted:
-        return (("serve.fallbacks", 1),)
-    return (("serve.wrapper_hits", 1),)
-
-
-def _compute_pipeline(ctx: StageContext) -> SiteRun:
-    pipeline = SegmentationPipeline(ctx["method"], obs=ctx["request_obs"])
-    return pipeline.segment_site(ctx["list_pages"], ctx["details"])
-
-
-def _build_service_graph() -> StageGraph:
-    """The online service's stage catalogue, declared as data.
-
-    Context inputs: ``site_id``, ``method``, ``list_pages``,
-    ``details``, ``drift_threshold``, ``request_obs``; the warm path
-    adds ``wrapper`` and ``count_outcome``.
-    """
-    apply_stage = Stage(
-        name="apply",
-        compute=_compute_apply,
-        span="serve.apply",
-        span_attrs=lambda ctx: {"site": ctx["site_id"]},
-        counters=_apply_counters,
-    )
-    pipeline_stage = Stage(
-        name="pipeline",
-        compute=_compute_pipeline,
-        span="serve.pipeline",
-        span_attrs=lambda ctx: {
-            "site": ctx["site_id"], "method": ctx["method"]
-        },
-        counters=lambda run, ctx: (("serve.pipeline_runs", 1),),
-        finalize=lambda run, ctx: ctx.set(
-            "sample",
-            next(
-                (page for page in run.pages if page.segmentation.records),
-                None,
-            ),
-        ),
-    )
-    induce_stage = Stage(
-        name="induce",
-        deps=("pipeline",),
-        compute=lambda ctx: induce_wrapper(
-            ctx["sample"], ctx["pipeline"].template_verdict
-        ),
-        span="serve.induce",
-        span_attrs=lambda ctx: {"site": ctx["site_id"]},
-        degradations=(
-            # A segmentation the induction cannot generalize is not an
-            # error: the request is answered from the raw pipeline run.
-            Degradation(
-                exceptions=(ExtractionError,),
-                fallback=lambda error, ctx: None,
-            ),
-        ),
-    )
-    return StageGraph((apply_stage, pipeline_stage, induce_stage))
-
-
-#: The request-handling stage graph (shared executor, serve.* spans).
-SERVICE_GRAPH = _build_service_graph()
+    return pages, DriftVerdict(score=score, threshold=threshold)
 
 
 class ServeError(ReproError):
@@ -199,6 +127,9 @@ class ServeError(ReproError):
 class ServiceConfig:
     """Knobs of the online service (capacity knobs in docs/serving.md).
 
+    Plain values only, so a serving worker's whole configuration
+    travels as JSON (:func:`repro.serve.supervisor.worker_command`).
+
     Attributes:
         method: default segmentation method when a payload names none.
         drift_threshold: wrapper quality below this triggers the
@@ -206,18 +137,15 @@ class ServiceConfig:
         wrapper_cache_dir: disk tier for the wrapper registry (None =
             memory only).
         wrapper_cache_max_bytes: LRU size bound of that disk tier.
-        request_budget: per-request spending limits, reusing the crawl
-            layer's :class:`~repro.crawl.resilient.CrawlBudget`:
-            ``deadline_s`` is the wall-clock deadline after which a
-            queued or running request is answered 504.
+        deadline_s: wall-clock deadline after which a queued or running
+            request is answered 504.
         workers: worker-thread count (used by the HTTP layer).
         max_queue: admission-control queue depth (HTTP layer); a full
             queue answers 429 with a Retry-After hint.
         max_body_bytes: request bodies above this are refused (413).
         hung_grace_s: how long past its deadline an in-flight request
             may sit before the HTTP layer's watchdog finalizes it as a
-            504 and replaces the wedged worker thread (None disables
-            the watchdog).
+            504 and replaces the wedged worker thread.
         store_path: when set, every healthy response is also ingested
             into this :class:`~repro.store.RelationalStore` (online
             ingest), and ``GET /query`` answers column-keyword
@@ -227,14 +155,12 @@ class ServiceConfig:
     method: str = "prob"
     drift_threshold: float = 0.5
     wrapper_cache_dir: str | None = None
-    wrapper_cache_max_bytes: int | None = None
-    request_budget: CrawlBudget = field(
-        default_factory=lambda: CrawlBudget(deadline_s=60.0)
-    )
+    wrapper_cache_max_bytes: int | None = 64 * 1024 * 1024
+    deadline_s: float = 60.0
     workers: int = 2
     max_queue: int = 8
     max_body_bytes: int = 16 * 1024 * 1024
-    hung_grace_s: float | None = 5.0
+    hung_grace_s: float = 5.0
     store_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -244,8 +170,10 @@ class ServiceConfig:
             raise ConfigError("drift_threshold must lie in [0, 1]")
         if self.workers < 1 or self.max_queue < 1:
             raise ConfigError("workers and max_queue must be >= 1")
-        if self.hung_grace_s is not None and self.hung_grace_s < 0.0:
-            raise ConfigError("hung_grace_s must be >= 0 (or None)")
+        if self.deadline_s <= 0.0:
+            raise ConfigError("deadline_s must be > 0")
+        if self.hung_grace_s < 0.0:
+            raise ConfigError("hung_grace_s must be >= 0")
 
 
 class SegmentationService:
@@ -332,24 +260,14 @@ class SegmentationService:
                 400, f"unknown method {method!r}; pick from {METHODS}"
             )
 
-        ctx = StageContext(
-            {
-                "site_id": site_id,
-                "method": method,
-                "list_pages": list_pages,
-                "details": details,
-                "drift_threshold": self.config.drift_threshold,
-                "request_obs": obs,
-            }
-        )
-
+        threshold = self.config.drift_threshold
         wrapper = self.registry.get(site_id, method)
         drift: DriftVerdict | None = None
         if wrapper is not None:
-            warm_ctx = ctx.child(wrapper=wrapper, count_outcome=True)
-            SERVICE_GRAPH.run(warm_ctx, targets=("apply",), obs=obs)
-            pages, drift = warm_ctx["apply"]
+            with obs.span("serve.apply", site=site_id):
+                pages, drift = _apply(wrapper, list_pages, details, threshold)
             if not drift.drifted:
+                obs.counter("serve.wrapper_hits").inc()
                 self._store_ingest(
                     site_id, method, pages, list_pages, details,
                     degraded=False, obs=obs,
@@ -357,15 +275,36 @@ class SegmentationService:
                 return self._response(
                     site_id, method, "wrapper", pages, drift, cached=True
                 )
+            obs.counter("serve.fallbacks").inc()
 
-        run, wrapper = self._run_pipeline(
-            ctx, obs, reinduced=drift is not None
+        with obs.span("serve.pipeline", site=site_id, method=method):
+            run = SegmentationPipeline(method, obs=obs).segment_site(
+                list_pages, details
+            )
+        obs.counter("serve.pipeline_runs").inc()
+        sample = next(
+            (page for page in run.pages if page.segmentation.records), None
         )
+        wrapper = None
+        if sample is not None:
+            with obs.span("serve.induce", site=site_id):
+                try:
+                    wrapper = induce_wrapper(sample, run.template_verdict)
+                except ExtractionError:
+                    # A segmentation the induction cannot generalize is
+                    # not an error: the raw run answers the request.
+                    pass
         if wrapper is not None:
-            apply_ctx = ctx.child(wrapper=wrapper)
-            SERVICE_GRAPH.run(apply_ctx, targets=("apply",), obs=obs)
-            pages, _ = apply_ctx["apply"]
+            self.registry.put(site_id, method, wrapper)
+            if drift is not None:
+                obs.counter("serve.reinductions").inc()
+            with obs.span("serve.apply", site=site_id):
+                pages, _ = _apply(wrapper, list_pages, details, threshold)
         else:
+            if drift is not None:
+                # Drifted and could not re-induce: the stale wrapper
+                # must not answer the next request either.
+                self.registry.invalidate(site_id, method)
             pages = run_page_summaries(run)
         self._store_ingest(
             site_id, method, pages, list_pages, details,
@@ -375,32 +314,6 @@ class SegmentationService:
             site_id, method, "pipeline", pages, drift,
             cached=False, induced=wrapper is not None,
         )
-
-    def _run_pipeline(
-        self,
-        ctx: StageContext,
-        obs: Observability,
-        reinduced: bool,
-    ) -> tuple[SiteRun, RowWrapper | None]:
-        """Graph entry point: pipeline + (re-)induction and registration."""
-        SERVICE_GRAPH.run(ctx, targets=("pipeline",), obs=obs)
-        run: SiteRun = ctx["pipeline"]
-        wrapper: RowWrapper | None = None
-        if ctx["sample"] is not None:
-            # The ``induce`` stage is only entered when the pipeline
-            # produced a usable sample, so the ``serve.induce`` span
-            # (and its latency histogram) measures real inductions.
-            SERVICE_GRAPH.run(ctx, targets=("induce",), obs=obs)
-            wrapper = ctx["induce"]
-        if wrapper is not None:
-            self.registry.put(ctx["site_id"], ctx["method"], wrapper)
-            if reinduced:
-                obs.counter("serve.reinductions").inc()
-        elif reinduced:
-            # Drifted and could not re-induce: the stale wrapper must
-            # not answer the next request either.
-            self.registry.invalidate(ctx["site_id"], ctx["method"])
-        return run, wrapper
 
     # -- the relational store (online ingest + /query) -----------------------
 

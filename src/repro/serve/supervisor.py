@@ -35,16 +35,25 @@ whose *only* jobs are holding the port and keeping N workers alive:
   0), so the endpoint keeps answering until the last worker is gone;
   the supervisor then exits 0.
 
+This module is also the one place a serving worker is configured and
+started.  :func:`worker_command` makes every worker's argv,
+``python -m repro.serve.supervisor SPEC``, where ``SPEC`` is one JSON
+object holding the worker's
+:class:`~repro.serve.service.ServiceConfig`, chaos plan, memory cap
+and :class:`WorkerSpawn` facts.  The child hands it to
+:func:`run_worker`, which ``repro serve --procs 1`` also calls, in
+process and without a heartbeat fd.
+
 Worker-side hardening lives in :func:`run_worker`: the per-request
-``CrawlBudget`` deadline and hung-handler watchdog from
-:mod:`repro.serve.http`, an optional ``resource.setrlimit`` memory
-ceiling (an allocation beyond it raises ``MemoryError`` in one
-request, or at worst kills the one worker — never the fleet), and the
-seeded chaos harness (:mod:`repro.serve.chaos`) when a plan is given.
-The shared crash-survivable state is the wrapper registry's *disk*
-tier: every worker points at one ``--wrapper-cache-dir``, so a
-restarted worker warms from its predecessors' induced wrappers and
-answers byte-identically to a never-crashed run.
+deadline and hung-handler watchdog from :mod:`repro.serve.http`, an
+optional ``resource.setrlimit`` memory ceiling (an allocation beyond
+it raises ``MemoryError`` in one request, or at worst kills the one
+worker — never the fleet), and the seeded chaos harness
+(:mod:`repro.serve.chaos`) when a plan is given.  The shared
+crash-survivable state is the wrapper registry's *disk* tier: every
+worker points at one ``--wrapper-cache-dir``, so a restarted worker
+warms from its predecessors' induced wrappers and answers
+byte-identically to a never-crashed run.
 
 CLI: ``repro serve --procs 4 --crash-budget 8 --wrapper-cache-dir
 ./wrappers``; see ``docs/serving.md``.
@@ -63,11 +72,15 @@ import sys
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.exceptions import ConfigError
 from repro.obs import MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.serve.chaos import ChaosPlan
+    from repro.serve.service import ServiceConfig
 
 __all__ = [
     "CrashBudget",
@@ -78,6 +91,7 @@ __all__ = [
     "apply_memory_limit",
     "run_worker",
     "supports_reuse_port",
+    "worker_command",
 ]
 
 
@@ -246,8 +260,8 @@ class Supervisor:
 
     Args:
         worker_command: builds the argv for one worker from a
-            :class:`WorkerSpawn` (the CLI builds ``python -m repro
-            serve`` invocations; tests substitute tiny scripts).
+            :class:`WorkerSpawn` (:func:`worker_command` builds real
+            serving workers; tests substitute tiny scripts).
         config: supervision knobs.
         host: bind address.
         port: bind port (0 = ephemeral; resolved at :meth:`bind`).
@@ -611,32 +625,72 @@ def _control_loop(server, stream) -> None:
     server.request_stop()
 
 
+def worker_command(
+    service_config: "ServiceConfig",
+    host: str,
+    chaos_plan: "ChaosPlan | None" = None,
+    mem_limit_mb: int | None = None,
+) -> Callable[[WorkerSpawn], list[str]]:
+    """The :class:`Supervisor`'s ``worker_command`` for serving workers.
+
+    Each worker runs ``python -m repro.serve.supervisor SPEC``; ``SPEC``
+    is one JSON object whose keys are :func:`run_worker`'s arguments.
+    """
+    settings = {
+        "service_config": asdict(service_config),
+        "host": host,
+        "chaos_plan": None if chaos_plan is None else chaos_plan.as_dict(),
+        "mem_limit_mb": mem_limit_mb,
+    }
+
+    def command(spawn: WorkerSpawn) -> list[str]:
+        spec = dict(
+            settings,
+            port=spawn.port,
+            heartbeat_fd=spawn.heartbeat_fd,
+            heartbeat_interval_s=spawn.heartbeat_interval_s,
+            worker_index=spawn.index,
+            generation=spawn.generation,
+        )
+        return [
+            sys.executable, "-m", "repro.serve.supervisor", json.dumps(spec)
+        ]
+
+    return command
+
+
 def run_worker(
-    service_config,
+    service_config: "ServiceConfig",
     host: str,
     port: int,
     heartbeat_fd: int | None = None,
     heartbeat_interval_s: float = 0.25,
     worker_index: int = 0,
     generation: int = 0,
-    chaos_plan=None,
+    chaos_plan: "ChaosPlan | None" = None,
     mem_limit_mb: int | None = None,
     out=None,
 ) -> int:
-    """One supervised worker process's main (the hidden CLI path).
+    """The main of every serving process ``repro serve`` starts.
 
-    Binds the shared port with ``SO_REUSEPORT``, applies the memory
-    ceiling, installs the chaos harness when a plan is given, starts
-    the heartbeat and control-pipe threads, and runs the ordinary
-    :meth:`SegmentationServer.run` loop — so SIGTERM drain semantics
-    are exactly the single-process ones.
+    Applies the memory ceiling, builds the server, installs the chaos
+    harness when a plan is given, and runs the ordinary
+    :meth:`SegmentationServer.run` loop, so SIGTERM drain semantics
+    are the same in every mode.  A supervised worker (``heartbeat_fd``
+    set) binds the shared port with ``SO_REUSEPORT`` and starts the
+    heartbeat and control-pipe threads.  Without a heartbeat fd
+    (``--procs 1``) the server binds its port alone and starts
+    neither, so it does not stop when its stdin is at EOF.
     """
     from repro.serve.http import SegmentationServer
     from repro.serve.service import SegmentationService
 
+    supervised = heartbeat_fd is not None
     apply_memory_limit(mem_limit_mb)
     service = SegmentationService(service_config)
-    server = SegmentationServer(service, host=host, port=port, reuse_port=True)
+    server = SegmentationServer(
+        service, host=host, port=port, reuse_port=supervised
+    )
     if chaos_plan is not None:
         from repro.serve.chaos import ChaosInjector, ChaosStageCache
 
@@ -652,7 +706,7 @@ def run_worker(
                 generation,
                 metrics=service.metrics,
             )
-    if heartbeat_fd is not None:
+    if supervised:
         threading.Thread(
             target=_heartbeat_loop,
             args=(heartbeat_fd, heartbeat_interval_s),
@@ -670,3 +724,20 @@ def run_worker(
             daemon=True,
         ).start()
     return server.run(out=out, install_signals=True)
+
+
+def _worker_main(spec_json: str) -> int:
+    """Start one supervised worker from :func:`worker_command`'s SPEC."""
+    from repro.serve.service import ServiceConfig
+
+    spec = json.loads(spec_json)
+    spec["service_config"] = ServiceConfig(**spec["service_config"])
+    if spec["chaos_plan"] is not None:
+        from repro.serve.chaos import ChaosPlan
+
+        spec["chaos_plan"] = ChaosPlan.from_dict(spec["chaos_plan"])
+    return run_worker(**spec)
+
+
+if __name__ == "__main__":
+    sys.exit(_worker_main(sys.argv[1]))

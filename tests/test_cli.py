@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import re
@@ -10,13 +11,45 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import build_parser, main
+from repro.cli import _service_config, build_parser, main
+from repro.serve import ServiceConfig
+
+SURFACE_PATH = Path(__file__).parent / "data" / "cli_surface.json"
 
 
 def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    (commands,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return dict(commands.choices)
+
+
+def parser_surface() -> dict:
+    """Each subcommand's options as JSON data: what the golden pins."""
+    surface = {
+        name: [
+            {
+                "options": action.option_strings or [action.dest],
+                "default": action.default,
+                "choices": (
+                    None if action.choices is None else list(action.choices)
+                ),
+                "nargs": action.nargs,
+                "required": action.required,
+            }
+            for action in parser._actions
+        ]
+        for name, parser in subcommand_parsers().items()
+    }
+    return json.loads(json.dumps(surface))
 
 
 class TestParser:
@@ -64,6 +97,27 @@ class TestParser:
     def test_serve_rejects_out_of_range_drift_threshold(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--drift-threshold", "1.5"])
+
+    def test_serve_defaults_build_the_default_service_config(self):
+        args = build_parser().parse_args(["serve"])
+        assert _service_config(args) == ServiceConfig()
+
+
+class TestParserSurface:
+    """Every subcommand's options, pinned as data (not ``--help`` text)."""
+
+    def test_options_match_golden(self):
+        golden = json.loads(SURFACE_PATH.read_text())
+        assert parser_surface() == golden["commands"]
+
+    def test_no_option_is_hidden(self):
+        hidden = [
+            (name, action.option_strings)
+            for name, parser in subcommand_parsers().items()
+            for action in parser._actions
+            if action.help == argparse.SUPPRESS
+        ]
+        assert hidden == []
 
 
 class TestVersion:
@@ -281,3 +335,10 @@ class TestStoreFlow:
         # With --store the JSON records take the service's structured
         # {"texts", "columns"} shape instead of display strings.
         assert set(page["records"][0]) == {"texts", "columns"}
+
+
+if __name__ == "__main__":
+    # Re-record the parser surface golden (keeps the note).
+    golden = json.loads(SURFACE_PATH.read_text())
+    golden["commands"] = parser_surface()
+    SURFACE_PATH.write_text(json.dumps(golden, indent=1) + "\n")

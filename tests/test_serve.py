@@ -13,7 +13,9 @@ import threading
 
 import pytest
 
+from repro.core.exceptions import ExtractionError
 from repro.core.pipeline import SegmentationPipeline
+from repro.obs import ManualClock, Observability
 from repro.serve import (
     SegmentationService,
     ServeError,
@@ -249,18 +251,133 @@ class TestHealth:
         assert body["uptime_s"] >= 0
 
 
+def span_counts(service):
+    histograms = service.metrics_dict()["histograms"]
+    return {
+        step: histograms.get(f"span.serve.{step}.seconds", {}).get("count", 0)
+        for step in ("request", "apply", "pipeline", "induce")
+    }
+
+
+def serve_counters(service):
+    counters = service.metrics_dict()["counters"]
+    return {
+        name: counters.get(name, 0)
+        for name in (
+            "serve.wrapper_hits",
+            "serve.fallbacks",
+            "serve.reinductions",
+            "serve.pipeline_runs",
+        )
+    }
+
+
+@pytest.fixture(scope="module")
+def csp_payloads(ohio):
+    """ohio's own pages, and lee's pages sent as site ``ohio`` (drift)."""
+    return {
+        "ohio": site_payload(ohio, "ohio", method="csp"),
+        "lee": site_payload(build_site("lee"), "ohio", method="csp"),
+    }
+
+
+#: What each serve path emits, cumulative over one csp request
+#: sequence: (request, payload, path, wrapper flags, counters, spans).
+SERVE_PATHS = (
+    (
+        "cold", "ohio", "pipeline", {"cached": False, "induced": True},
+        {"serve.wrapper_hits": 0, "serve.fallbacks": 0,
+         "serve.reinductions": 0, "serve.pipeline_runs": 1},
+        {"request": 1, "apply": 1, "pipeline": 1, "induce": 1},
+    ),
+    (
+        "warm", "ohio", "wrapper", {"cached": True, "induced": True},
+        {"serve.wrapper_hits": 1, "serve.fallbacks": 0,
+         "serve.reinductions": 0, "serve.pipeline_runs": 1},
+        {"request": 2, "apply": 2, "pipeline": 1, "induce": 1},
+    ),
+    (
+        "drifted", "lee", "pipeline", {"cached": False, "induced": True},
+        {"serve.wrapper_hits": 1, "serve.fallbacks": 1,
+         "serve.reinductions": 1, "serve.pipeline_runs": 2},
+        {"request": 3, "apply": 4, "pipeline": 2, "induce": 2},
+    ),
+    (
+        "re-warmed", "lee", "wrapper", {"cached": True, "induced": True},
+        {"serve.wrapper_hits": 2, "serve.fallbacks": 1,
+         "serve.reinductions": 1, "serve.pipeline_runs": 2},
+        {"request": 4, "apply": 5, "pipeline": 2, "induce": 2},
+    ),
+)
+
+
+class TestServePathEmissions:
+    """Responses, counters and spans of every path through the service."""
+
+    def test_request_sequence(self, csp_payloads):
+        service = SegmentationService(ServiceConfig(method="csp"))
+        for request, payload, path, wrapper, counters, spans in SERVE_PATHS:
+            response = service.segment(csp_payloads[payload])
+            assert response["path"] == path, request
+            assert response["wrapper"] == wrapper, request
+            assert serve_counters(service) == counters, request
+            assert span_counts(service) == spans, request
+            assert service.registry.sites() == ["ohio"], request
+
+    def test_failed_induction_answers_from_the_raw_run(
+        self, csp_payloads, monkeypatch
+    ):
+        service = SegmentationService(ServiceConfig(method="csp"))
+        service.segment(csp_payloads["ohio"])
+
+        def cannot_generalize(sample, verdict):
+            raise ExtractionError("segmentation does not generalize")
+
+        monkeypatch.setattr(
+            "repro.serve.service.induce_wrapper", cannot_generalize
+        )
+        response = service.segment(csp_payloads["lee"])
+        assert response["path"] == "pipeline"
+        assert response["wrapper"] == {"cached": False, "induced": False}
+        assert response["drift"]["drifted"]
+        assert response["record_count"] > 0
+        counters = service.metrics_dict()["counters"]
+        assert counters["serve.fallbacks"] == 1
+        assert "serve.reinductions" not in counters
+        assert counters["serve.registry.invalidations"] == 1
+        assert span_counts(service) == {
+            "request": 2, "apply": 2, "pipeline": 2, "induce": 2
+        }
+        # The drifted wrapper is gone: the next request re-runs.
+        assert service.registry.sites() == []
+
+
 class TestServiceGraph:
-    """The service's request paths are entry points into SERVICE_GRAPH."""
+    """The three serve steps each emit their own span and counters."""
 
-    def test_graph_declares_the_three_serve_stages(self):
-        from repro.serve.service import SERVICE_GRAPH
-
-        assert "apply" in SERVICE_GRAPH
-        assert "pipeline" in SERVICE_GRAPH
-        assert "induce" in SERVICE_GRAPH
-        assert SERVICE_GRAPH.stage("apply").span == "serve.apply"
-        assert SERVICE_GRAPH.stage("pipeline").span == "serve.pipeline"
-        assert SERVICE_GRAPH.stage("induce").deps == ("pipeline",)
+    def test_graph_declares_the_three_serve_stages(self, csp_payloads):
+        obs = Observability(clock=ManualClock())
+        service = SegmentationService(
+            ServiceConfig(method="csp"), metrics=obs.metrics
+        )
+        service._request_obs = lambda: obs
+        service.segment(csp_payloads["ohio"])
+        service.segment(csp_payloads["lee"])
+        cold, drifted = obs.tracer.roots
+        assert [span.name for span in cold.children] == [
+            "serve.pipeline", "serve.induce", "serve.apply"
+        ]
+        assert [span.name for span in drifted.children] == [
+            "serve.apply", "serve.pipeline", "serve.induce", "serve.apply"
+        ]
+        pipeline = drifted.children[1]
+        assert pipeline.attributes == {"site": "ohio", "method": "csp"}
+        assert drifted.children[0].attributes == {"site": "ohio"}
+        assert drifted.children[2].attributes == {"site": "ohio"}
+        # The pipeline step nests the whole pipeline.* stage chain.
+        assert [span.name for span in pipeline.children] == [
+            "pipeline.segment_site"
+        ]
 
     def test_warm_apply_entry_point_counts_outcome(self, ohio_payload):
         service = SegmentationService(ServiceConfig(method="prob"))
@@ -270,6 +387,7 @@ class TestServiceGraph:
         counters = service.metrics_dict()["counters"]
         assert counters["serve.wrapper_hits"] == 1
         assert counters["serve.pipeline_runs"] == 1
-        # The post-induction apply on the cold path runs the same
-        # graph stage but books no warm-path outcome counter.
+        # The apply after the cold path's induction opens a
+        # serve.apply span but books no warm-path outcome counter.
         assert counters.get("serve.fallbacks", 0) == 0
+        assert span_counts(service)["apply"] == 2

@@ -13,14 +13,21 @@ from __future__ import annotations
 import dataclasses
 import http.client
 import io
+import json
+import os
+import re
+import signal
+import socket
+import subprocess
 import sys
 import threading
 import time
 import urllib.error
+from pathlib import Path
 
 import pytest
 
-from repro.crawl.resilient import CrawlBudget
+import repro
 from repro.serve import (
     SegmentationServer,
     SegmentationService,
@@ -30,6 +37,7 @@ from repro.serve import (
     SupervisorConfig,
     payload_from_pages,
     supports_reuse_port,
+    worker_command,
 )
 from repro.sitegen.corpus import build_site
 from repro.sitegen.site import GeneratedSite, RowLayout
@@ -150,9 +158,7 @@ def test_429_carries_retry_after(server_factory):
 
 
 def test_deadline_answers_504(server_factory):
-    config = ServiceConfig(
-        workers=1, max_queue=2, request_budget=CrawlBudget(deadline_s=0.2)
-    )
+    config = ServiceConfig(workers=1, max_queue=2, deadline_s=0.2)
     server, client = server_factory(config)
     response = client.sleep(2.0)
     assert response.status == 504
@@ -288,7 +294,7 @@ def test_watchdog_converts_hung_request_to_504(server_factory):
     config = ServiceConfig(
         workers=1,
         max_queue=4,
-        request_budget=CrawlBudget(deadline_s=0.3),
+        deadline_s=0.3,
         hung_grace_s=0.2,
     )
     server, client = server_factory(config)
@@ -322,6 +328,51 @@ def test_external_status_and_metrics_surface(server_factory):
     assert client.healthz().body["status"] == "ok"
 
 
+@pytest.mark.skipif(not supports_reuse_port(), reason="needs SO_REUSEPORT")
+def test_one_process_serve_runs_the_chaos_plan_on_its_cache(tmp_path):
+    """``repro serve`` without ``--procs`` wires a plan like a worker does."""
+    wrappers = tmp_path / "wrappers"
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"seed": 1, "disk_full_rate": 1.0}))
+    src = Path(repro.__file__).resolve().parents[1]
+    process = subprocess.Popen(
+        [
+            sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
+            "--wrapper-cache-dir", str(wrappers), "--chaos-plan", str(plan),
+        ],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    try:
+        match = re.search(
+            r"listening on (http://(\S+):(\d+))", process.stdout.readline()
+        )
+        assert match, "server did not report its address"
+        # One process binds its port alone: a SO_REUSEPORT socket
+        # cannot share it.
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
+            probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+            with pytest.raises(OSError):
+                probe.bind((match.group(2), int(match.group(3))))
+
+        client = ServeClient(match.group(1), timeout_s=120.0)
+        response = client.segment(site_payload(build_site("ohio"), "ohio"))
+        assert response.status == 200
+        counters = client.metricz().body["counters"]
+        assert counters["serve.chaos.disk_full"] == 1
+        assert counters["serve.registry.store_errors"] == 1
+        assert not [path for path in wrappers.rglob("*") if path.is_file()]
+        # No control pipe: stdin at EOF does not stop the server.
+        assert client.healthz().status == 200
+    finally:
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=60) == 0
+        process.stdout.close()
+
+
 class TestSupervised:
     """Full-stack supervised serving: real workers, real SIGKILL."""
 
@@ -334,21 +385,13 @@ class TestSupervised:
         procs = []
         out = io.StringIO()
 
-        def worker_command(spawn):
-            return [
-                sys.executable, "-m", "repro", "serve",
-                "--port", str(spawn.port),
-                "--workers", "1",
-                "--max-queue", "8",
-                "--wrapper-cache-dir", str(tmp_path / "wrappers"),
-                "--_worker-index", str(spawn.index),
-                "--_generation", str(spawn.generation),
-                "--_heartbeat-fd", str(spawn.heartbeat_fd),
-                "--_heartbeat-interval", str(spawn.heartbeat_interval_s),
-            ]
-
+        config = ServiceConfig(
+            workers=1,
+            max_queue=8,
+            wrapper_cache_dir=str(tmp_path / "wrappers"),
+        )
         supervisor = Supervisor(
-            worker_command,
+            worker_command(config, "127.0.0.1"),
             SupervisorConfig(
                 procs=2,
                 crash_budget=8,

@@ -4,7 +4,9 @@ Unit-tests the pure bookkeeping (:class:`CrashBudget`,
 :class:`RestartBackoff`, :class:`SupervisorConfig`) with manual time,
 then drives a real :class:`Supervisor` over tiny stand-in worker
 scripts (spawn fast, no service import) to exercise reaping,
-restarts, heartbeat timeouts, the crash budget and the control pipe.
+restarts, heartbeat timeouts, the crash budget and the control pipe,
+and checks that :func:`worker_command`'s spec reaches
+:func:`run_worker` intact.
 The full-stack path — real serving workers, SIGKILL mid-load,
 byte-identical warm answers — lives in ``test_serve_http.py``'s
 supervised tests and ``tools/serve_smoke.py --supervised``.
@@ -20,13 +22,18 @@ import time
 import pytest
 
 from repro.core.exceptions import ConfigError
+from repro.serve import supervisor as supervisor_module
+from repro.serve.chaos import ChaosPlan
+from repro.serve.service import ServiceConfig
 from repro.serve.supervisor import (
     CrashBudget,
     RestartBackoff,
     Supervisor,
     SupervisorConfig,
+    WorkerSpawn,
     apply_memory_limit,
     supports_reuse_port,
+    worker_command,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -304,6 +311,42 @@ class TestSupervisorLoop:
         # The surviving worker was told the fleet is degraded before
         # the drain took it down.
         assert {"type": "state", "status": "degraded"} in messages
+
+
+class TestWorkerCommand:
+    def test_worker_receives_its_whole_configuration(self, monkeypatch):
+        config = ServiceConfig(
+            method="csp", workers=1, deadline_s=5.0, wrapper_cache_dir="/w"
+        )
+        plan = ChaosPlan(seed=3, kill_rate=0.1, disk_full_rate=0.5)
+        spawn = WorkerSpawn(
+            index=1,
+            generation=2,
+            port=8081,
+            heartbeat_fd=9,
+            heartbeat_interval_s=0.1,
+        )
+        argv = worker_command(config, "0.0.0.0", plan, 512)(spawn)
+        assert argv[:3] == [sys.executable, "-m", "repro.serve.supervisor"]
+
+        started = {}
+        monkeypatch.setattr(
+            supervisor_module,
+            "run_worker",
+            lambda **kwargs: started.update(kwargs) or 0,
+        )
+        assert supervisor_module._worker_main(argv[3]) == 0
+        assert started == {
+            "service_config": config,
+            "host": "0.0.0.0",
+            "port": 8081,
+            "heartbeat_fd": 9,
+            "heartbeat_interval_s": 0.1,
+            "worker_index": 1,
+            "generation": 2,
+            "chaos_plan": plan,
+            "mem_limit_mb": 512,
+        }
 
 
 class TestMemoryLimit:
