@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import statistics
 import tempfile
 import threading
@@ -178,6 +179,7 @@ def run_mix(corpus, name, plan, requests):
     finally:
         supervisor.stop()
         thread.join(timeout=60.0)
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 def test_availability_under_chaos(corpus, benchmark, capsys):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import sys
 
 from repro import SegmentationPipeline, build_site
-from repro.crawl import SiteFetcher, discover_site
+from repro.crawl import ResilientFetcher, discover_site
 from repro.relational import build_table, detail_field_pairs
 
 
@@ -30,10 +30,10 @@ def main() -> None:
     print(f"entry point: {entry}")
 
     # 1. Navigate: find the results chain + detail pages automatically.
-    fetcher = SiteFetcher(site)
+    fetcher = ResilientFetcher(site)
     found = discover_site(fetcher, entry)
     print(f"discovered {len(found.list_pages)} result pages "
-          f"({fetcher.requests} fetches); detail counts: "
+          f"({fetcher.health.requests} fetches); detail counts: "
           f"{[len(d) for d in found.detail_pages_per_list]}")
 
     # 2. Segment.

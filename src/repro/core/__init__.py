@@ -19,9 +19,7 @@ _EXPORTS = {
         "truth_assignment",
     ),
     "repro.core.exceptions": (
-        "CircuitOpenError",
         "ConfigError",
-        "CrawlBudgetExceededError",
         "CrawlError",
         "CspError",
         "EmptyProblemError",

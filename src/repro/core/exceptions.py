@@ -102,20 +102,3 @@ class TransientFetchError(FetchError):
 class PermanentFetchError(FetchError):
     """A fetch failed definitively (simulated 404/410); retrying is useless."""
 
-
-class CircuitOpenError(FetchError):
-    """A fetch was refused fast because its URL-class circuit is open.
-
-    Not a server response at all: the resilient fetcher has seen too
-    many consecutive failures in this URL-class and is shedding load
-    until the cooldown elapses.
-    """
-
-
-class CrawlBudgetExceededError(CrawlError):
-    """The per-site request or deadline budget ran out mid-crawl.
-
-    The resilient layer converts this into gaps in the crawl (pages it
-    never attempted) rather than letting it propagate, so it surfaces
-    only when a caller uses the strict fetch API directly.
-    """

@@ -103,11 +103,12 @@ from repro.tokens.tokenizer import Token, tokenize_html
 from repro.webdoc.page import Page
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.crawl.resilient import CrawlBudget, CrawlHealth, RetryPolicy
+    from repro.crawl.resilient import CrawlBudget, CrawlHealth
     from repro.sitegen.faults import FaultPlan
     from repro.sitegen.site import GeneratedSite
 
 __all__ = [
+    "DEGRADED_META",
     "PIPELINE_GRAPH",
     "PageRun",
     "SiteRun",
@@ -165,6 +166,12 @@ def _failed_verdict(reason: str, page_count: int) -> TemplateVerdict:
         ok=False,
         reason=reason,
     )
+
+
+#: Segmentation meta keys the ``segment`` stage's degradation ladder
+#: sets on a page it could not segment.  The batch runner quarantines a
+#: site on them, and the service does not ingest such a run.
+DEGRADED_META = ("segmenter_error", "empty_problem")
 
 
 def _empty_segmentation(ctx: StageContext, **meta: Any) -> Segmentation:
@@ -551,18 +558,17 @@ class SegmentationPipeline:
         site: GeneratedSite,
         *,
         fault_plan: FaultPlan | None = None,
-        retry: RetryPolicy | None = None,
         budget: CrawlBudget | None = None,
     ) -> SiteRun:
         """Convenience wrapper for simulator sites.
 
-        Without a fault plan the site's true pages are used directly
-        (the pristine fast path).  With one, the sample is obtained by
-        actually crawling the site through the resilient retrieval
-        stack, and the run carries the resulting
-        :class:`~repro.crawl.resilient.CrawlHealth`.
+        Without a fault plan or a budget the site's true pages are
+        used directly (the pristine fast path).  With either, the
+        sample is obtained by actually crawling the site
+        (:func:`~repro.crawl.crawler.crawl_site`), and the run carries
+        the resulting :class:`~repro.crawl.resilient.CrawlHealth`.
         """
-        if fault_plan is None and retry is None and budget is None:
+        if fault_plan is None and budget is None:
             return self.segment_site(
                 site.list_pages,
                 [site.detail_pages(index) for index in range(len(site.list_pages))],
@@ -572,7 +578,6 @@ class SegmentationPipeline:
         crawl = crawl_site(
             site,
             fault_plan=fault_plan,
-            retry=retry,
             budget=budget,
             obs=self.obs,
         )

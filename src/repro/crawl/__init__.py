@@ -1,9 +1,9 @@
-"""Site navigation: fetching, crawling, list/detail classification,
-and the resilient retrieval layer (retries, budgets, circuit breaking).
+"""Site navigation: the one caching fetcher (retries, budgets, circuit
+breaking), crawling, and list/detail classification.
 
 The names below load on first use (:mod:`repro._lazy`): importing
-:mod:`~repro.crawl.resilient` alone (the serving and fetch-ingest
-paths do) does not load the crawler or the ingest fingerprint pass it
+:mod:`~repro.crawl.resilient` alone (fetch-driven ingest does)
+does not load the crawler or the ingest fingerprint pass it
 classifies pages with.
 """
 
@@ -16,7 +16,7 @@ _EXPORTS = {
         "discover_site",
         "follow_next_chain",
     ),
-    "repro.crawl.fetcher": ("DirectorySite", "SiteFetcher"),
+    "repro.crawl.fetcher": ("DirectorySite",),
     "repro.crawl.resilient": (
         "CircuitBreaker",
         "CrawlBudget",

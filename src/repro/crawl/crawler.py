@@ -12,13 +12,14 @@ similar to one another".  The fetched pages are fingerprinted
 pages.  Detail pages are returned in link order, which is the record
 order the segmenters assume.
 
-Failure handling is two-tier: :meth:`Crawler.try_collect` records a
-degenerate page (nothing fetchable) in the result instead of raising,
-and :func:`crawl_site` crawls every list page even when some fail —
-one dead results page quarantines that page, not the site.  It routes
-every fetch through a :class:`~repro.crawl.resilient.ResilientFetcher`
-(optionally over a :class:`~repro.sitegen.faults.FaultPlan` transport)
-and returns a :class:`SiteCrawl` carrying the
+Every fetch goes through the one fetcher,
+:class:`~repro.crawl.resilient.ResilientFetcher`.  A degenerate page
+(nothing fetchable) is recorded in its :class:`CrawlResult` instead
+of raising, and :func:`crawl_site` crawls every list page even when
+some fail — one dead results page quarantines that page, not the
+site.  :func:`crawl_site` builds its fetcher (optionally over a
+:class:`~repro.sitegen.faults.FaultPlan` transport) and returns a
+:class:`SiteCrawl` carrying the
 :class:`~repro.crawl.resilient.CrawlHealth` report.
 """
 
@@ -26,14 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.exceptions import CrawlError
-from repro.crawl.fetcher import SiteFetcher
-from repro.crawl.resilient import (
-    CrawlBudget,
-    CrawlHealth,
-    ResilientFetcher,
-    RetryPolicy,
-)
+from repro.crawl.resilient import CrawlBudget, CrawlHealth, ResilientFetcher
 from repro.ingest.cluster import cluster_profiles
 from repro.ingest.fingerprint import profile_pages
 from repro.obs import Observability, current as current_obs
@@ -79,7 +73,7 @@ class CrawlResult:
 class Crawler:
     """Fetch and classify everything a list page links to."""
 
-    def __init__(self, fetcher: SiteFetcher | ResilientFetcher) -> None:
+    def __init__(self, fetcher: ResilientFetcher) -> None:
         self.fetcher = fetcher
 
     def try_collect(self, list_page: Page) -> CrawlResult:
@@ -115,17 +109,6 @@ class Crawler:
                 result.other_pages.append(page)
         return result
 
-    def collect(self, list_page: Page) -> CrawlResult:
-        """Strict variant of :meth:`try_collect`.
-
-        Raises:
-            CrawlError: the page links to nothing fetchable at all.
-        """
-        result = self.try_collect(list_page)
-        if result.failed:
-            raise CrawlError(result.error)
-        return result
-
 
 @dataclass
 class SiteCrawl:
@@ -148,7 +131,6 @@ def crawl_site(
     site: GeneratedSite,
     *,
     fault_plan: FaultPlan | None = None,
-    retry: RetryPolicy | None = None,
     budget: CrawlBudget | None = None,
     obs: Observability | None = None,
 ) -> SiteCrawl:
@@ -170,7 +152,7 @@ def crawl_site(
     """
     obs = obs if obs is not None else current_obs()
     transport = site if fault_plan is None else FaultyTransport(site, fault_plan)
-    fetcher = ResilientFetcher(transport, retry=retry, budget=budget, obs=obs)
+    fetcher = ResilientFetcher(transport, budget=budget, obs=obs)
     crawler = Crawler(fetcher)
     crawl = SiteCrawl(health=fetcher.health)
 

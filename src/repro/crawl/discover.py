@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.core.exceptions import CrawlError
 from repro.crawl.crawler import CrawlResult, Crawler
-from repro.crawl.fetcher import SiteFetcher
+from repro.crawl.resilient import ResilientFetcher
 from repro.ingest.fingerprint import ShingleSpace, profile_page
 from repro.webdoc.html import extract_links
 from repro.webdoc.page import Page
@@ -34,7 +34,7 @@ __all__ = ["DiscoveredSite", "discover_site", "follow_next_chain"]
 
 
 def follow_next_chain(
-    fetcher: SiteFetcher, start: Page, max_pages: int = 10
+    fetcher: ResilientFetcher, start: Page, max_pages: int = 10
 ) -> list[Page]:
     """The page plus everything its "Next" links lead to, in order.
 
@@ -73,7 +73,7 @@ class DiscoveredSite:
 
 
 def discover_site(
-    fetcher: SiteFetcher,
+    fetcher: ResilientFetcher,
     index_url: str,
     min_details: int = 2,
     max_chain: int = 10,
@@ -81,15 +81,15 @@ def discover_site(
     """Navigate from the entry page to the pipeline's inputs.
 
     Args:
-        fetcher: the page source.
+        fetcher: the crawl's fetcher; its health books every request.
         index_url: the user's "pointer to the top-level page".
         min_details: a chain page must link to at least this many
             same-template pages to count as a list page.
         max_chain: Next-chain length cap.
 
     Raises:
-        CrawlError: no link off the entry page leads to a valid
-            results chain.
+        CrawlError: the entry page cannot be fetched, or no link off
+            it leads to a valid results chain.
     """
     index = fetcher.fetch(index_url)
     crawler = Crawler(fetcher)
@@ -101,12 +101,8 @@ def discover_site(
         chain = follow_next_chain(fetcher, start, max_chain)
         results: list[CrawlResult] = []
         for page in chain:
-            try:
-                result = crawler.collect(page)
-            except CrawlError:
-                results = []
-                break
-            if len(result.detail_pages) < min_details:
+            result = crawler.try_collect(page)
+            if result.failed or len(result.detail_pages) < min_details:
                 results = []
                 break
             results.append(result)

@@ -1,41 +1,21 @@
-"""Simulated HTTP fetching over a generated site.
+"""A crawl snapshot directory served as a fetchable site.
 
-The paper's vision (Section 3): "the user provides a pointer to the
-top-level page ... and the system automatically navigates the site,
-retrieving all pages".  :class:`SiteFetcher` is the retrieval layer of
-that loop for simulator sites: URL in, :class:`~repro.webdoc.page.Page`
-out, with request accounting and both a positive and a negative
-response cache — the observable behaviour of a polite crawler, minus
-the network.
-
-Transient failures (:class:`~repro.core.exceptions.TransientFetchError`,
-raised by fault-injecting transports) are deliberately *not*
-negative-cached: they are the one failure class where retrying the same
-URL is supposed to succeed.
-
-Permanent failures *are* negative-cached, but no longer forever: a
-re-crawl of a live site must be able to discover that a previously
-dead URL came back.  :meth:`SiteFetcher.reset` clears the negative
-cache explicitly, and ``negative_max_age`` expires each dead entry
-after that many subsequent requests, so long-lived fetchers retry
-eventually even without an explicit reset.
-
-:class:`DirectorySite` rounds the module out as the source used by
-fetch-driven ingestion (``repro ingest --fetch``): it serves a crawl
-snapshot directory exactly like a live site, so the resilient
-retrieval stack (retries, budgets, breakers) exercises the same code
-path whether pages come from a generator or from disk.
+:class:`DirectorySite` is the page source of fetch-driven ingestion
+(``repro ingest --fetch``): it serves a directory of pages exactly
+like a live site, so the one fetcher
+(:class:`~repro.crawl.resilient.ResilientFetcher`: retries, budgets,
+breakers, caching) runs the same code path whether pages come from a
+generator or from disk.
 """
 
 from __future__ import annotations
 
 from pathlib import Path as _Path
 
-from repro.core.exceptions import FetchError, TransientFetchError
-from repro.sitegen.site import GeneratedSite
+from repro.core.exceptions import FetchError
 from repro.webdoc.page import Page
 
-__all__ = ["DirectorySite", "SiteFetcher"]
+__all__ = ["DirectorySite"]
 
 
 class DirectorySite:
@@ -74,107 +54,3 @@ class DirectorySite:
             for path in self.directory.glob("*.html")
             if path.is_file()
         )
-
-
-class SiteFetcher:
-    """Fetch pages from a :class:`GeneratedSite` with caching.
-
-    Any object with ``fetch(url) -> Page`` works as the source — a
-    :class:`GeneratedSite`, a :class:`DirectorySite`, or a
-    :class:`~repro.sitegen.faults.FaultyTransport` wrapping one.
-
-    Args:
-        site: the page source.
-        negative_max_age: expire each negative-cache entry after this
-            many *subsequent* requests, so a long-lived fetcher
-            re-tries dead URLs eventually (None = entries live until
-            :meth:`reset`).
-    """
-
-    def __init__(
-        self,
-        site: GeneratedSite,
-        negative_max_age: int | None = None,
-    ) -> None:
-        if negative_max_age is not None and negative_max_age < 1:
-            raise ValueError(
-                f"negative_max_age must be >= 1 (or None), got {negative_max_age}"
-            )
-        self.site = site
-        self.negative_max_age = negative_max_age
-        self.requests = 0  #: fetches actually forwarded to the site
-        self.failures = 0  #: dead URLs discovered (each counted once)
-        self._cache: dict[str, Page] = {}
-        #: url -> (cached failure message, request count at failure)
-        self._dead: dict[str, tuple[str, int]] = {}
-
-    def reset(self) -> int:
-        """Forget every negative-cache entry; returns how many.
-
-        The re-crawl hook: successful pages stay cached (their bytes
-        are still what the fetch returned), but previously dead URLs
-        get a fresh attempt on the next fetch.
-        """
-        dropped = len(self._dead)
-        self._dead.clear()
-        return dropped
-
-    def _dead_message(self, url: str) -> str | None:
-        """The cached failure for ``url``, expiring stale entries."""
-        entry = self._dead.get(url)
-        if entry is None:
-            return None
-        message, stamp = entry
-        if (
-            self.negative_max_age is not None
-            and self.requests - stamp >= self.negative_max_age
-        ):
-            del self._dead[url]
-            return None
-        return message
-
-    def fetch(self, url: str) -> Page:
-        """Fetch a URL.
-
-        A URL that failed permanently before is answered from the
-        negative cache without re-requesting it (and without inflating
-        the ``requests``/``failures`` counters again), until the entry
-        expires (``negative_max_age``) or :meth:`reset` clears it.
-
-        Raises:
-            FetchError: the site does not serve this URL.
-        """
-        if url in self._cache:
-            return self._cache[url]
-        message = self._dead_message(url)
-        if message is not None:
-            raise FetchError(message)
-        self.requests += 1
-        try:
-            page = self.site.fetch(url)
-        except TransientFetchError:
-            # Retryable by definition: never negative-cache it, but the
-            # attempt still hit the wire, so ``requests`` already counted.
-            raise
-        except FetchError as error:
-            self.failures += 1
-            self._dead[url] = (str(error), self.requests)
-            raise
-        self._cache[url] = page
-        return page
-
-    def try_fetch(self, url: str) -> Page | None:
-        """Fetch a URL, returning None on dead links."""
-        try:
-            return self.fetch(url)
-        except FetchError:
-            return None
-
-    def cached(self, url: str) -> Page | None:
-        """The cached page for ``url``, if a fetch already succeeded."""
-        return self._cache.get(url)
-
-    @property
-    def dead_urls(self) -> frozenset[str]:
-        """URLs known (from this fetcher's lifetime) to be dead."""
-        return frozenset(self._dead)

@@ -1,9 +1,14 @@
-"""Resilient retrieval: retries, budgets, circuit breaking, health.
+"""Resilient retrieval: caching, retries, budgets, circuit breaking, health.
 
-The plain :class:`~repro.crawl.fetcher.SiteFetcher` models a perfect
-network; :class:`ResilientFetcher` wraps it with the defenses a real
-crawl needs and the accounting a real evaluation wants:
+:class:`ResilientFetcher` is the crawl layer's one fetcher: URL in,
+:class:`~repro.webdoc.page.Page` out, over any page source with
+``fetch(url) -> Page``.  It adds the defenses a real crawl needs and
+the accounting a real evaluation wants:
 
+* **a page cache and a negative cache**: a fetched page is kept and
+  handed back for free, and the gap ledger of :class:`CrawlHealth` is
+  the negative cache — a URL given up on is never requested again by
+  the same fetcher (a re-crawl builds a new fetcher);
 * **retry with exponential backoff + jitter** for transient failures
   (:class:`RetryPolicy`); all delays are *simulated* — charged to a
   deterministic clock, never slept — so chaos runs are fast and
@@ -40,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.exceptions import ConfigError, FetchError, TransientFetchError
-from repro.crawl.fetcher import SiteFetcher
 from repro.obs import Observability, current as current_obs
 from repro.sitegen.faults import stable_unit
 from repro.webdoc.page import Page
@@ -59,6 +63,10 @@ GAP_PERMANENT = "permanent"
 GAP_RETRIES_EXHAUSTED = "retries_exhausted"
 GAP_CIRCUIT_OPEN = "circuit_open"
 GAP_BUDGET = "budget_exhausted"
+
+#: Base simulated cost of one attempt, before the transport's per-URL
+#: latency is added.
+REQUEST_COST_S = 0.01
 
 
 def url_class(url: str) -> str:
@@ -118,13 +126,10 @@ class CrawlBudget:
     Attributes:
         max_requests: fetch-attempt ceiling (None = unlimited).
         deadline_s: simulated wall-clock ceiling (None = unlimited).
-        request_cost_s: base simulated cost per attempt, before the
-            transport's per-URL latency is added.
     """
 
     max_requests: int | None = None
     deadline_s: float | None = None
-    request_cost_s: float = 0.01
 
     def __post_init__(self) -> None:
         if self.max_requests is not None and self.max_requests < 1:
@@ -186,14 +191,6 @@ class CircuitBreaker:
                 self.trips += 1
             state.is_open = True
             state.open_until = now + self.cooldown_s
-
-    def open_classes(self, now: float) -> list[str]:
-        """URL-classes currently refusing traffic."""
-        return sorted(
-            cls
-            for cls, state in self._states.items()
-            if state.is_open and now < state.open_until
-        )
 
 
 @dataclass
@@ -275,21 +272,24 @@ class CrawlHealth:
 
 
 class ResilientFetcher:
-    """A :class:`SiteFetcher` that survives a hostile transport.
+    """A caching fetcher that survives a hostile transport.
 
-    ``try_fetch`` never raises: it retries transient failures with
-    backoff, respects the request/deadline budget, fails fast on open
-    circuits, and books everything into a :class:`CrawlHealth`.
+    ``try_fetch`` never raises: it answers fetched pages from its
+    cache, retries transient failures with backoff, respects the
+    request/deadline budget, fails fast on open circuits, and books
+    everything into :attr:`health`.  A URL in the health's gap ledger
+    is answered ``None`` without a request.
 
     Args:
-        site: page source (``fetch(url) -> Page``); typically a
-            :class:`~repro.sitegen.faults.FaultyTransport`.  If it
-            exposes ``latency_of(url)``, that simulated latency is
-            charged against the deadline budget.
+        site: page source (``fetch(url) -> Page``) — a
+            :class:`~repro.sitegen.site.GeneratedSite`, a
+            :class:`~repro.crawl.fetcher.DirectorySite`, or a
+            :class:`~repro.sitegen.faults.FaultyTransport` wrapping
+            one.  If it exposes ``latency_of(url)``, that simulated
+            latency is charged against the deadline budget.
         retry: retry/backoff policy.
         budget: per-site spending limits.
         breaker: circuit breaker (one is created if omitted).
-        health: health report to book into (created if omitted).
         obs: observability bundle; every request, retry, recovery and
             gap is mirrored into ``crawl.*`` counters alongside the
             :class:`CrawlHealth` bookkeeping (defaults to the
@@ -302,21 +302,21 @@ class ResilientFetcher:
         retry: RetryPolicy | None = None,
         budget: CrawlBudget | None = None,
         breaker: CircuitBreaker | None = None,
-        health: CrawlHealth | None = None,
         obs: Observability | None = None,
     ) -> None:
-        self.fetcher = SiteFetcher(site)
+        self.site = site
         self.retry = retry or RetryPolicy()
         self.budget = budget or CrawlBudget()
         self.breaker = breaker or CircuitBreaker()
-        self.health = health or CrawlHealth()
+        self.health = CrawlHealth()
         self.obs = obs if obs is not None else current_obs()
         self.clock = 0.0  #: simulated seconds elapsed
+        self._pages: dict[str, Page] = {}
 
     # -- internals -----------------------------------------------------------
 
     def _latency_of(self, url: str) -> float:
-        latency = getattr(self.fetcher.site, "latency_of", None)
+        latency = getattr(self.site, "latency_of", None)
         return latency(url) if latency is not None else 0.0
 
     def _budget_allows(self) -> bool:
@@ -339,7 +339,7 @@ class ResilientFetcher:
         """Fetch ``url`` within policy; ``None`` plus a health entry on
         failure.  Never raises."""
         # Cache hits are free: no budget, breaker or accounting impact.
-        cached = self.fetcher.cached(url)
+        cached = self._pages.get(url)
         if cached is not None:
             return cached
         if url in self.health.gaps:
@@ -365,9 +365,9 @@ class ResilientFetcher:
 
             self.health.requests += 1
             self.obs.counter("crawl.requests").inc()
-            self._spend(self.budget.request_cost_s + self._latency_of(url))
+            self._spend(REQUEST_COST_S + self._latency_of(url))
             try:
-                page = self.fetcher.fetch(url)
+                page = self.site.fetch(url)
             except TransientFetchError:
                 had_transient = True
                 self.health.transient_failures += 1
@@ -382,6 +382,7 @@ class ResilientFetcher:
                 gaps.inc()
                 return None
             self.breaker.record_success(cls)
+            self._pages[url] = page
             if had_transient:
                 self.health.recovered += 1
                 self.obs.counter("crawl.recovered").inc()

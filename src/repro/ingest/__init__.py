@@ -15,8 +15,8 @@ The CLI front end is ``repro ingest CRAWL_DIR --out BUNDLES_DIR``;
 the output feeds straight into ``repro segment-dir BUNDLES_DIR``.
 
 Two lifecycle companions extend the directory-reading path:
-:mod:`~repro.ingest.fetch` walks seed URLs through the resilient
-crawler into a ``crawl.json`` snapshot (``repro ingest --fetch``),
+:mod:`~repro.ingest.fetch` walks seed URLs through the crawl
+layer's fetcher into a ``crawl.json`` snapshot (``repro ingest --fetch``),
 and :mod:`~repro.ingest.diff` re-ingests only what a fingerprint
 diff against the previous manifest says changed (``--incremental``),
 carrying unchanged bundles forward byte-identically.
@@ -48,7 +48,6 @@ from repro.ingest.fetch import (
     CRAWL_SNAPSHOT_NAME,
     FetchedCrawl,
     fetch_crawl,
-    load_snapshot,
     write_snapshot,
 )
 from repro.ingest.fingerprint import (
@@ -81,7 +80,6 @@ __all__ = [
     "fetch_crawl",
     "ingest_pages",
     "load_previous_manifest",
-    "load_snapshot",
     "page_fingerprint",
     "plan_reingest",
     "profile_page",

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -501,11 +502,50 @@ def write_bundles(
     ``tasks_from_directory(out_dir)`` — and therefore ``repro
     segment-dir out_dir`` — consumes the output directly.  The
     quarantine manifest (:data:`INGEST_MANIFEST_NAME`) records the
-    full accounting next to the bundles.  Returns the manifest path.
+    full accounting next to the bundles.  A full ingest replaces the
+    previous generation: every bundle directory the previous manifest
+    lists is removed first.  Returns the manifest path.
+    """
+    out_dir = Path(out_dir)
+    return _write_generation(
+        out_dir, _listed_bundles(out_dir), report.bundles, report.as_dict()
+    )
+
+
+def _listed_bundles(out_dir: Path) -> list:
+    """The bundle names the manifest in ``out_dir`` lists, if readable."""
+    try:
+        manifest = json.loads(
+            (out_dir / INGEST_MANIFEST_NAME).read_text(encoding="utf-8")
+        )
+        return [entry["name"] for entry in manifest["bundles"]]
+    except (OSError, ValueError, KeyError, TypeError):
+        return []
+
+
+def _write_generation(
+    out_dir: str | Path,
+    remove: list,
+    bundles: list[SiteBundle],
+    manifest: dict,
+) -> Path:
+    """Remove the named bundle directories, write ``bundles``, then the
+    manifest, last.
+
+    Only plain child names of ``out_dir`` are removed: a manifest entry
+    with a path separator, or named ``.`` or ``..``, is left alone.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for bundle in report.bundles:
+    for name in remove:
+        if (
+            isinstance(name, str)
+            and name not in ("", ".", "..")
+            and "/" not in name
+            and "\\" not in name
+        ):
+            shutil.rmtree(out_dir / name, ignore_errors=True)
+    for bundle in bundles:
         save_sample(
             out_dir / bundle.name,
             bundle.name,
@@ -514,7 +554,7 @@ def write_bundles(
         )
     manifest_path = out_dir / INGEST_MANIFEST_NAME
     manifest_path.write_text(
-        json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n",
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
         newline="\n",
     )

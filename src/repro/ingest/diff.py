@@ -38,7 +38,6 @@ their templates.
 from __future__ import annotations
 
 import json
-import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,13 +47,13 @@ from repro.ingest.bundle import (
     IngestReport,
     QuarantinedPage,
     _drop_duplicate_urls,
+    _write_generation,
     ingest_pages,
     page_fingerprint,
 )
 from repro.obs import Observability, current
 from repro.webdoc.html import extract_links
 from repro.webdoc.page import Page
-from repro.webdoc.store import save_sample
 
 __all__ = [
     "CrawlDiff",
@@ -418,24 +417,12 @@ def write_reingest(
     back from the subset run; vanished ones stay gone), carried
     directories are not touched — their bytes are the previous run's,
     which is the point — and the merged manifest replaces
-    :data:`~repro.ingest.bundle.INGEST_MANIFEST_NAME`.  Returns the
-    manifest path.
+    :data:`~repro.ingest.bundle.INGEST_MANIFEST_NAME`, last.  Returns
+    the manifest path.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name in reingest.stale_bundles:
-        shutil.rmtree(out_dir / name, ignore_errors=True)
-    for bundle in reingest.report.bundles:
-        save_sample(
-            out_dir / bundle.name,
-            bundle.name,
-            bundle.list_pages,
-            bundle.detail_pages_per_list,
-        )
-    manifest_path = out_dir / INGEST_MANIFEST_NAME
-    manifest_path.write_text(
-        json.dumps(reingest.as_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-        newline="\n",
+    return _write_generation(
+        out_dir,
+        reingest.stale_bundles,
+        reingest.report.bundles,
+        reingest.as_dict(),
     )
-    return manifest_path

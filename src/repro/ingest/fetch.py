@@ -3,12 +3,14 @@
 The front door's file-reading mode assumes somebody already crawled;
 this module *is* the crawl.  :func:`fetch_crawl` walks outward from
 one or more seed URLs in breadth-first discovery order, pulling every
-page through the resilient retrieval stack
+page through the crawl layer's one fetcher
 (:class:`~repro.crawl.resilient.ResilientFetcher`: retries with
-backoff, per-site budgets, circuit breakers per URL class) so a
-hostile or half-dead source degrades into recorded
+backoff, a request/deadline budget, circuit breakers per URL class)
+so a hostile or half-dead source degrades into recorded
 :class:`~repro.crawl.resilient.CrawlHealth` gaps instead of an
-aborted ingest.
+aborted ingest.  The budget's request ceiling also caps the crawl's
+size: the frontier left when it runs out is recorded as
+``budget_exhausted`` gaps.
 
 The result is a :class:`FetchedCrawl`: pages in discovery order, a
 content fingerprint per page (:func:`~repro.ingest.bundle.page_fingerprint`),
@@ -16,9 +18,8 @@ and the crawl health.  :func:`write_snapshot` persists all three as a
 page directory plus a ``crawl.json`` manifest — the same manifest
 name :mod:`repro.sitegen.mixed` writes, so
 :func:`~repro.sitegen.mixed.load_crawl_pages` and ``repro ingest``
-consume a snapshot exactly like an exported corpus — and
-:func:`load_snapshot` round-trips it (identical page order and
-fingerprints; see the manifest round-trip tests).
+read a snapshot back exactly like an exported corpus, in the recorded
+crawl order.
 
 Snapshot writes are deterministic bytes: sorted JSON keys and LF-only
 line endings, so the same crawl produces the same manifest on every
@@ -34,14 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from repro.crawl.resilient import (
-    GAP_BUDGET,
-    CircuitBreaker,
-    CrawlBudget,
-    CrawlHealth,
-    ResilientFetcher,
-    RetryPolicy,
-)
+from repro.crawl.resilient import CrawlBudget, CrawlHealth, ResilientFetcher
 from repro.ingest.bundle import page_fingerprint
 from repro.obs import Observability, current
 from repro.webdoc.html import extract_links
@@ -51,28 +45,12 @@ __all__ = [
     "CRAWL_SNAPSHOT_NAME",
     "FetchedCrawl",
     "fetch_crawl",
-    "load_snapshot",
     "write_snapshot",
 ]
 
 #: Snapshot manifest name — deliberately the same file name the mixed
 #: corpus generator uses, so both producers feed one consumer.
 CRAWL_SNAPSHOT_NAME = "crawl.json"
-
-#: CrawlHealth fields restored by :func:`load_snapshot` (the derived
-#: keys ``gap_count`` / ``recovery_rate`` are recomputed, not stored).
-_HEALTH_FIELDS = (
-    "requests",
-    "retries",
-    "recovered",
-    "transient_failures",
-    "gaps",
-    "quarantined_pages",
-    "fallbacks",
-    "breaker_trips",
-    "budget_exhausted",
-    "simulated_elapsed_s",
-)
 
 
 @dataclass
@@ -102,10 +80,7 @@ class FetchedCrawl:
 def fetch_crawl(
     source,
     seeds: Iterable[str],
-    retry: RetryPolicy | None = None,
     budget: CrawlBudget | None = None,
-    breaker: CircuitBreaker | None = None,
-    max_pages: int | None = None,
     obs: Observability | None = None,
 ) -> FetchedCrawl:
     """Walk ``seeds`` breadth-first through the resilient fetcher.
@@ -120,25 +95,13 @@ def fetch_crawl(
     Args:
         source: page source.
         seeds: starting URLs (duplicates collapsed, order kept).
-        retry: retry/backoff policy (fetcher default when None).
         budget: request/deadline budget (unlimited when None).
-        breaker: circuit breaker (fetcher default when None).
-        max_pages: stop *discovering* after this many fetched pages;
-            frontier URLs still queued are recorded as
-            ``budget_exhausted`` gaps.
         obs: observability bundle (``ingest.fetch.*`` counters plus
             the fetcher's own ``crawl.*`` accounting).
     """
     obs = obs if obs is not None else current()
-    health = CrawlHealth()
-    fetcher = ResilientFetcher(
-        source,
-        retry=retry,
-        budget=budget,
-        breaker=breaker,
-        health=health,
-        obs=obs,
-    )
+    fetcher = ResilientFetcher(source, budget=budget, obs=obs)
+    health = fetcher.health
     seed_list = list(dict.fromkeys(seeds))
     queue: deque[str] = deque(seed_list)
     seen: set[str] = set(seed_list)
@@ -147,11 +110,6 @@ def fetch_crawl(
 
     with obs.span("ingest.fetch", seeds=len(seed_list)) as span:
         while queue:
-            if max_pages is not None and len(pages) >= max_pages:
-                health.budget_exhausted = True
-                for url in queue:
-                    health.record_gap(url, GAP_BUDGET)
-                break
             url = queue.popleft()
             page = fetcher.try_fetch(url)
             if page is None:
@@ -204,45 +162,3 @@ def write_snapshot(crawl: FetchedCrawl, directory: str | Path) -> Path:
     )
     return manifest_path
 
-
-def load_snapshot(directory: str | Path) -> FetchedCrawl:
-    """Read a :func:`write_snapshot` directory back.
-
-    Pages come back in the recorded crawl order with the recorded
-    fingerprints; the health is reconstructed from its stored fields.
-
-    Raises:
-        ValueError: no manifest, or one without the snapshot keys
-            (e.g. a generator truth manifest, which has no
-            fingerprints to round-trip).
-    """
-    directory = Path(directory)
-    manifest_path = directory / CRAWL_SNAPSHOT_NAME
-    if not manifest_path.is_file():
-        raise ValueError(f"no crawl snapshot manifest in {directory}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if "fingerprints" not in manifest:
-        raise ValueError(
-            f"{manifest_path} is not a fetch snapshot (no fingerprints)"
-        )
-    health_dict = manifest.get("crawl_health") or {}
-    health = CrawlHealth(
-        **{
-            name: health_dict[name]
-            for name in _HEALTH_FIELDS
-            if name in health_dict
-        }
-    )
-    pages = [
-        Page(
-            url=name,
-            html=(directory / name).read_text(encoding="utf-8"),
-        )
-        for name in manifest["pages"]
-    ]
-    return FetchedCrawl(
-        seeds=tuple(manifest.get("seeds", ())),
-        pages=pages,
-        fingerprints=dict(manifest["fingerprints"]),
-        health=health,
-    )

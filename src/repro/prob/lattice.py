@@ -38,7 +38,7 @@ import numpy as np
 from repro.extraction.observations import ObservationTable
 from repro.prob.config import ProbConfig
 from repro.prob.model import ModelParams
-from repro.tokens.types import NUM_TOKEN_TYPES, type_vector
+from repro.tokens.types import NUM_TOKEN_TYPES, union_type_vector
 
 __all__ = ["Lattice", "observed_type_vectors", "derive_column_count"]
 
@@ -55,10 +55,9 @@ def observed_type_vectors(table: ObservationTable) -> np.ndarray:
     """
     vectors = np.zeros((len(table.observations), NUM_TOKEN_TYPES))
     for observation in table.observations:
-        merged = np.zeros(NUM_TOKEN_TYPES)
-        for token in observation.extract.tokens:
-            merged = np.maximum(merged, np.array(type_vector(token.types)))
-        vectors[observation.seq] = merged
+        vectors[observation.seq] = union_type_vector(
+            observation.extract.tokens
+        )
     return vectors
 
 

@@ -37,17 +37,14 @@ import numpy as np
 from repro.core.results import Segmentation
 from repro.csp.constraints import ConstraintSystem, Relation
 from repro.csp.wsat import WsatConfig, WsatSolver
-from repro.tokens.types import NUM_TOKEN_TYPES, type_vector
+from repro.tokens.types import NUM_TOKEN_TYPES, union_type_vector
 
 __all__ = ["CspColumnAssigner"]
 
 
 def _extract_signature(observation) -> np.ndarray:
     """Union type vector of an extract's tokens."""
-    merged = np.zeros(NUM_TOKEN_TYPES)
-    for token in observation.extract.tokens:
-        merged = np.maximum(merged, np.array(type_vector(token.types)))
-    return merged
+    return np.array(union_type_vector(observation.extract.tokens), dtype=float)
 
 
 @dataclass(frozen=True)

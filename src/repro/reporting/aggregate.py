@@ -16,9 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.evaluation import PageScore
+from repro.core.evaluation import PageScore, score_page
 
-__all__ = ["NOTE_LEGEND", "PageResult", "ExperimentResult", "notes_from_meta"]
+__all__ = [
+    "NOTE_LEGEND",
+    "PageResult",
+    "ExperimentResult",
+    "notes_from_meta",
+    "page_results",
+]
 
 #: Table 4's note legend.
 NOTE_LEGEND = {
@@ -67,6 +73,23 @@ class PageResult:
         :meth:`ExperimentResult.clean_pages`).
         """
         return "c" not in self.notes and "d" not in self.notes
+
+
+def page_results(site, method: str, run) -> list[PageResult]:
+    """Table 4 rows of one run: one per list page, scored against the
+    generated ``site``'s truth."""
+    return [
+        PageResult(
+            site=site.spec.name,
+            page_index=truth.page_index,
+            method=method,
+            score=score_page(page_run.segmentation, truth),
+            notes=notes_from_meta(page_run.segmentation.meta),
+            elapsed=page_run.elapsed,
+            meta=dict(page_run.segmentation.meta),
+        )
+        for page_run, truth in zip(run.pages, site.truth)
+    ]
 
 
 @dataclass

@@ -24,12 +24,11 @@ re-emitted in method-major order, so sharing changes no output.
 from __future__ import annotations
 
 from repro.core.config import PipelineConfig
-from repro.core.evaluation import score_page
 from repro.core.pipeline import SegmentationPipeline
 from repro.reporting.aggregate import (
     ExperimentResult,
     PageResult,
-    notes_from_meta,
+    page_results,
 )
 from repro.runner.cache import MemoryStageCache
 from repro.sitegen.corpus import Corpus, build_corpus
@@ -51,22 +50,7 @@ def run_site(
             methods to reuse method-independent upstream stages.
     """
     pipeline = SegmentationPipeline(method, config, cache=cache)
-    run = pipeline.segment_generated_site(site)
-    rows: list[PageResult] = []
-    for page_run, truth in zip(run.pages, site.truth):
-        score = score_page(page_run.segmentation, truth)
-        rows.append(
-            PageResult(
-                site=site.spec.name,
-                page_index=truth.page_index,
-                method=method,
-                score=score,
-                notes=notes_from_meta(page_run.segmentation.meta),
-                elapsed=page_run.elapsed,
-                meta=dict(page_run.segmentation.meta),
-            )
-        )
-    return rows
+    return page_results(site, method, pipeline.segment_generated_site(site))
 
 
 def _run_standard_corpus(

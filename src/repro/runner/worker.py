@@ -40,17 +40,18 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.config import PipelineConfig
-from repro.core.pipeline import SegmentationPipeline, SiteRun, bind_token_cache
+from repro.core.pipeline import (
+    DEGRADED_META,
+    SegmentationPipeline,
+    SiteRun,
+    bind_token_cache,
+)
 from repro.obs import Observability
 from repro.runner.cache import StageCache
 from repro.runner.tasks import PageOutcome, SiteTask, TaskResult
 from repro.webdoc.page import Page
 
 __all__ = ["execute_task"]
-
-#: Segmentation meta keys that mark a page as degraded enough to
-#: quarantine the site (exit non-zero, retry on resume-less re-runs).
-_QUARANTINE_META = ("segmenter_error", "empty_problem")
 
 
 def _outcomes(run: SiteRun) -> tuple[list[PageOutcome], str]:
@@ -60,7 +61,7 @@ def _outcomes(run: SiteRun) -> tuple[list[PageOutcome], str]:
     for page_run in run.pages:
         segmentation = page_run.segmentation
         meta = segmentation.meta
-        if any(key in meta for key in _QUARANTINE_META):
+        if any(key in meta for key in DEGRADED_META):
             quarantined = True
         pages.append(
             PageOutcome(
@@ -76,7 +77,7 @@ def _outcomes(run: SiteRun) -> tuple[list[PageOutcome], str]:
                     "whole_page": meta.get("whole_page"),
                     **{
                         key: meta[key]
-                        for key in _QUARANTINE_META
+                        for key in DEGRADED_META
                         if key in meta
                     },
                 },
@@ -173,26 +174,13 @@ def _run_generated(
 def _run_eval_generated(
     task: SiteTask, pipeline: SegmentationPipeline, collect_wire: bool
 ) -> tuple[list[PageOutcome], str, Any]:
-    from repro.core.evaluation import score_page
-    from repro.reporting.aggregate import PageResult, notes_from_meta
+    from repro.reporting.aggregate import page_results
 
     site, details = _generated_sample(task.spec)
     run, pages, status = _segment(
         pipeline, site.list_pages, details, collect_wire
     )
-    rows = [
-        PageResult(
-            site=site.spec.name,
-            page_index=truth.page_index,
-            method=task.method,
-            score=score_page(page_run.segmentation, truth),
-            notes=notes_from_meta(page_run.segmentation.meta),
-            elapsed=page_run.elapsed,
-            meta=dict(page_run.segmentation.meta),
-        )
-        for page_run, truth in zip(run.pages, site.truth)
-    ]
-    return pages, status, rows
+    return pages, status, page_results(site, task.method, run)
 
 
 def execute_task(

@@ -59,7 +59,7 @@ from typing import Any
 
 from repro.core.config import METHODS
 from repro.core.exceptions import ConfigError, ExtractionError, ReproError
-from repro.core.pipeline import SegmentationPipeline, SiteRun
+from repro.core.pipeline import DEGRADED_META, SegmentationPipeline, SiteRun
 from repro.obs import MetricsRegistry, Observability
 from repro.relational.detail_fields import detail_field_pairs
 from repro.runner.cache import StageCache
@@ -76,10 +76,6 @@ from repro.store.query import query_store
 from repro.webdoc.page import Page
 from repro.wrapper.apply import apply_wrapper
 from repro.wrapper.induce import RowWrapper, induce_wrapper
-
-#: Segmentation meta keys that mark a run too degraded to ingest
-#: (the runner quarantines on the same keys).
-_DEGRADED_META = ("segmenter_error", "empty_problem")
 
 __all__ = [
     "ServeError",
@@ -325,7 +321,7 @@ class SegmentationService:
         return any(
             key in page_run.segmentation.meta
             for page_run in run.pages
-            for key in _DEGRADED_META
+            for key in DEGRADED_META
         )
 
     def _store_ingest(

@@ -31,6 +31,7 @@ __all__ = [
     "TOKEN_TYPE_ORDER",
     "classify_text",
     "type_vector",
+    "union_type_vector",
 ]
 
 
@@ -137,3 +138,15 @@ def type_vector(types: TokenType) -> tuple[int, ...]:
     (0, 0, 1, 1, 0, 0, 0, 0)
     """
     return tuple(int(bool(types & t)) for t in TOKEN_TYPE_ORDER)
+
+
+def union_type_vector(tokens) -> tuple[int, ...]:
+    """:func:`type_vector` of the union of the ``tokens``' type sets.
+
+    A type is on when any token carries it — the observed vector of an
+    extract.  No tokens gives all zeros.
+    """
+    bits = 0
+    for token in tokens:
+        bits |= token.types.value
+    return type_vector(TokenType(bits))

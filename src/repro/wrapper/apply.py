@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.extraction.extracts import Extract, extract_strings
 from repro.tokens.tokenizer import Token
-from repro.tokens.types import NUM_TOKEN_TYPES, type_vector
+from repro.tokens.types import union_type_vector
 from repro.webdoc.page import Page
 from repro.wrapper.induce import RowWrapper
 
@@ -76,10 +76,7 @@ def _boundary_positions(
 
 
 def _signature(extract: Extract) -> np.ndarray:
-    merged = np.zeros(NUM_TOKEN_TYPES)
-    for token in extract.tokens:
-        merged = np.maximum(merged, np.array(type_vector(token.types)))
-    return merged
+    return np.array(union_type_vector(extract.tokens), dtype=float)
 
 
 def _label_columns(

@@ -28,7 +28,7 @@ from repro.core.pipeline import PageRun
 from repro.template.finder import TemplateVerdict
 from repro.template.model import PageTemplate
 from repro.tokens.tokenizer import Token
-from repro.tokens.types import NUM_TOKEN_TYPES, type_vector
+from repro.tokens.types import NUM_TOKEN_TYPES, union_type_vector
 
 __all__ = ["RowWrapper", "induce_wrapper"]
 
@@ -124,10 +124,7 @@ def induce_wrapper(
                 else position
             )
             column = min(column, k - 1)
-            merged = np.zeros(NUM_TOKEN_TYPES)
-            for token in observation.extract.tokens:
-                merged = np.maximum(merged, np.array(type_vector(token.types)))
-            sums[column] += merged
+            sums[column] += union_type_vector(observation.extract.tokens)
             counts[column] += 1
     profiles = np.where(
         counts[:, None] > 0, sums / np.maximum(counts[:, None], 1), 0.5

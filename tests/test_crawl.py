@@ -7,7 +7,10 @@ import pytest
 from repro.core.exceptions import CrawlError, FetchError
 from repro.crawl import extract_links
 from repro.crawl.crawler import Crawler, crawl_site
-from repro.crawl.fetcher import SiteFetcher
+from repro.crawl.discover import discover_site
+from repro.crawl.fetcher import DirectorySite
+from repro.crawl.resilient import GAP_PERMANENT, ResilientFetcher
+from repro.ingest import fetch_crawl
 from repro.ingest.cluster import cluster_profiles
 from repro.ingest.fingerprint import profile_pages
 from repro.sitegen.corpus import TABLE4_ORDER, build_site
@@ -44,74 +47,69 @@ class TestExtractLinks:
 class TestFetcher:
     def test_caching_counts_once(self):
         site = build_site("ohio")
-        fetcher = SiteFetcher(site)
+        fetcher = ResilientFetcher(site)
         url = site.truth[0].rows[0].detail_url
         fetcher.fetch(url)
         fetcher.fetch(url)
-        assert fetcher.requests == 1
+        assert fetcher.health.requests == 1
 
     def test_dead_link_counted(self):
         site = build_site("ohio")
-        fetcher = SiteFetcher(site)
+        fetcher = ResilientFetcher(site)
         with pytest.raises(FetchError):
             fetcher.fetch("missing.html")
-        assert fetcher.failures == 1
+        assert fetcher.health.gaps == {"missing.html": GAP_PERMANENT}
         assert fetcher.try_fetch("missing.html") is None
 
     def test_dead_link_negative_cached(self):
         # Repeated fetches of the same dead URL must answer from the
-        # negative cache: one request, one failure, however often asked.
+        # gap ledger: one request, one gap, however often asked.
         site = build_site("ohio")
-        fetcher = SiteFetcher(site)
+        fetcher = ResilientFetcher(site)
         for _ in range(5):
             assert fetcher.try_fetch("missing.html") is None
         with pytest.raises(FetchError):
             fetcher.fetch("missing.html")
-        assert fetcher.requests == 1
-        assert fetcher.failures == 1
-        assert fetcher.dead_urls == frozenset({"missing.html"})
+        assert fetcher.health.requests == 1
+        assert fetcher.health.gaps == {"missing.html": GAP_PERMANENT}
 
     def test_cached_probe(self):
+        # A page fetched twice is the same object, and the second
+        # fetch books no request.
         site = build_site("ohio")
-        fetcher = SiteFetcher(site)
+        fetcher = ResilientFetcher(site)
         url = site.truth[0].rows[0].detail_url
-        assert fetcher.cached(url) is None
         page = fetcher.fetch(url)
-        assert fetcher.cached(url) is page
+        assert fetcher.health.requests == 1
+        assert fetcher.try_fetch(url) is page
+        assert fetcher.health.requests == 1
 
     def test_reset_clears_negative_cache(self):
+        # A re-crawl builds a new fetcher, which requests a URL an
+        # earlier fetcher gave up on.
         site = build_site("ohio")
-        fetcher = SiteFetcher(site)
-        assert fetcher.try_fetch("missing.html") is None
-        assert fetcher.try_fetch("gone.html") is None
-        assert fetcher.reset() == 2
-        assert fetcher.dead_urls == frozenset()
-        # The next fetch of a previously dead URL hits the site again.
-        assert fetcher.try_fetch("missing.html") is None
-        assert fetcher.requests == 3
-        # Positive cache survives the reset.
-        url = site.truth[0].rows[0].detail_url
-        page = fetcher.fetch(url)
-        fetcher.reset()
-        assert fetcher.cached(url) is page
+        first = ResilientFetcher(site)
+        assert first.try_fetch("missing.html") is None
+        second = ResilientFetcher(site)
+        assert second.try_fetch("missing.html") is None
+        assert second.health.requests == 1
+        assert second.health.gaps == {"missing.html": GAP_PERMANENT}
 
-    def test_negative_max_age_expires_entries(self):
-        site = build_site("ohio")
-        fetcher = SiteFetcher(site, negative_max_age=2)
-        assert fetcher.try_fetch("missing.html") is None
-        assert fetcher.requests == 1
-        # Still within the age window: answered from the cache.
-        assert fetcher.try_fetch("missing.html") is None
-        assert fetcher.requests == 1
-        # Two live requests later the entry expires and is re-tried.
-        fetcher.fetch(site.truth[0].rows[0].detail_url)
-        fetcher.fetch(site.truth[0].rows[1].detail_url)
-        assert fetcher.try_fetch("missing.html") is None
-        assert fetcher.requests == 4
-
-    def test_negative_max_age_validated(self):
-        with pytest.raises(ValueError):
-            SiteFetcher(build_site("ohio"), negative_max_age=0)
+    def test_negative_max_age_expires_entries(self, tmp_path):
+        # A page that appears between two crawls is fetched by the
+        # second one, not remembered as dead.
+        (tmp_path / "index.html").write_text(
+            '<a href="late.html">late</a>', encoding="utf-8"
+        )
+        before = fetch_crawl(DirectorySite(tmp_path), ["index.html"])
+        assert before.health.gaps == {"late.html": GAP_PERMANENT}
+        (tmp_path / "late.html").write_text("<p>here</p>", encoding="utf-8")
+        after = fetch_crawl(DirectorySite(tmp_path), ["index.html"])
+        assert [page.url for page in after.pages] == [
+            "index.html",
+            "late.html",
+        ]
+        assert after.health.gaps == {}
 
 
 def _template_clusters(pages: list[Page]) -> list[list[str]]:
@@ -151,7 +149,7 @@ class TestClassifier:
         site = build_site("ohio")
         details = site.detail_pages(0)
         mixed = [site.fetch("ohio-ad0.html")] + details
-        result = Crawler(SiteFetcher(site)).try_collect(
+        result = Crawler(ResilientFetcher(site)).try_collect(
             _list_page_linking(mixed)
         )
         assert [p.url for p in result.detail_pages] == [p.url for p in details]
@@ -159,7 +157,9 @@ class TestClassifier:
 
     def test_empty_input(self):
         site = build_site("ohio")
-        result = Crawler(SiteFetcher(site)).try_collect(_list_page_linking([]))
+        result = Crawler(ResilientFetcher(site)).try_collect(
+            _list_page_linking([])
+        )
         assert result.detail_pages == [] and result.other_pages == []
 
 
@@ -191,7 +191,9 @@ class TestCrawler:
         monkeypatch.setattr(
             tokenizer_module, "tokenize_html", counting_tokenize
         )
-        result = Crawler(SiteFetcher(site)).try_collect(site.list_pages[0])
+        result = Crawler(ResilientFetcher(site)).try_collect(
+            site.list_pages[0]
+        )
         assert result.detail_pages and result.other_pages
         assert calls == []
 
@@ -202,15 +204,21 @@ class TestCrawler:
         assert "ohio-ad0.html" in other_urls
 
     def test_unfetchable_page_raises(self):
+        # Discovery rejects a chain whose only page links to nothing
+        # fetchable, and with no other chain it raises.
         site = build_site("ohio")
-        crawler = Crawler(SiteFetcher(site))
-        lonely = Page("x", '<a href="gone.html">only dead link</a>')
+        site._by_url["lonely-index.html"] = Page(
+            "lonely-index.html", '<a href="lonely-list.html">results</a>'
+        )
+        site._by_url["lonely-list.html"] = Page(
+            "lonely-list.html", '<a href="gone.html">only dead link</a>'
+        )
         with pytest.raises(CrawlError):
-            crawler.collect(lonely)
+            discover_site(ResilientFetcher(site), "lonely-index.html")
 
     def test_try_collect_records_failure_instead_of_raising(self):
         site = build_site("ohio")
-        crawler = Crawler(SiteFetcher(site))
+        crawler = Crawler(ResilientFetcher(site))
         lonely = Page("x", '<a href="gone.html">only dead link</a>')
         result = crawler.try_collect(lonely)
         assert result.failed

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.exceptions import CrawlError
 from repro.core.pipeline import SegmentationPipeline
-from repro.crawl import SiteFetcher, discover_site, follow_next_chain
+from repro.crawl import ResilientFetcher, discover_site, follow_next_chain
 from repro.sitegen.corpus import TABLE4_ORDER, build_site
 from repro.sitegen.domains.books import build_amazon
 from repro.sitegen.site import GeneratedSite
@@ -34,7 +34,7 @@ class TestSiteChrome:
 class TestFollowNextChain:
     def test_walks_the_chain(self):
         site = build_site("butler")
-        fetcher = SiteFetcher(site)
+        fetcher = ResilientFetcher(site)
         chain = follow_next_chain(fetcher, site.list_pages[0])
         assert [page.url for page in chain] == [
             "butler-list0.html",
@@ -43,22 +43,29 @@ class TestFollowNextChain:
 
     def test_stops_without_next(self):
         site = build_site("butler")
-        fetcher = SiteFetcher(site)
+        fetcher = ResilientFetcher(site)
         chain = follow_next_chain(fetcher, site.list_pages[1])
         assert len(chain) == 1
 
     def test_max_pages_cap(self):
         site = build_site("butler")
-        fetcher = SiteFetcher(site)
+        fetcher = ResilientFetcher(site)
         chain = follow_next_chain(fetcher, site.list_pages[0], max_pages=1)
         assert len(chain) == 1
+
+
+#: Requests discovery books per site, in ``TABLE4_ORDER``: the traffic
+#: of the caching fetcher, pinned so a fetcher change cannot add any.
+DISCOVERY_REQUESTS = dict(
+    zip(TABLE4_ORDER, (29, 29, 49, 36, 30, 32, 39, 29, 39, 49, 29, 27))
+)
 
 
 class TestDiscoverSite:
     @pytest.mark.parametrize("name", TABLE4_ORDER)
     def test_discovers_pipeline_inputs(self, name):
         site = build_site(name)
-        fetcher = SiteFetcher(site)
+        fetcher = ResilientFetcher(site)
         found = discover_site(fetcher, f"{name}-index.html")
         assert [page.url for page in found.list_pages] == [
             page.url for page in site.list_pages
@@ -67,10 +74,13 @@ class TestDiscoverSite:
             assert [page.url for page in details] == [
                 page.url for page in site.detail_pages(page_index)
             ]
+        assert fetcher.health.requests == DISCOVERY_REQUESTS[name]
+        assert fetcher.health.gap_count == 5
+        assert fetcher.health.breaker_trips == 0
 
     def test_discovered_inputs_segment_identically(self):
         site = build_site("butler")
-        found = discover_site(SiteFetcher(site), "butler-index.html")
+        found = discover_site(ResilientFetcher(site), "butler-index.html")
         run = SegmentationPipeline("csp").segment_site(
             found.list_pages, found.detail_pages_per_list
         )
@@ -83,7 +93,7 @@ class TestDiscoverSite:
 
     def test_dead_entry_raises(self):
         site = build_site("butler")
-        fetcher = SiteFetcher(site)
+        fetcher = ResilientFetcher(site)
         lonely = Page(
             "lonely-index.html",
             '<a href="nowhere.html">only dead link</a>',

@@ -16,13 +16,13 @@ import pytest
 
 from repro.core.exceptions import FetchError
 from repro.crawl.fetcher import DirectorySite
+from repro.crawl.resilient import GAP_BUDGET, CrawlBudget
 from repro.ingest import (
     CRAWL_SNAPSHOT_NAME,
     diff_fingerprints,
     fetch_crawl,
     ingest_pages,
     load_previous_manifest,
-    load_snapshot,
     page_fingerprint,
     plan_reingest,
     reingest_pages,
@@ -33,7 +33,11 @@ from repro.ingest import (
 from repro.lifecycle import invalidate_consumers
 from repro.obs import Observability
 from repro.sitegen.corpus import build_site
-from repro.sitegen.mixed import MixedCorpusSpec, build_mixed_corpus
+from repro.sitegen.mixed import (
+    MixedCorpusSpec,
+    build_mixed_corpus,
+    load_crawl_pages,
+)
 from repro.webdoc.page import Page
 
 
@@ -95,11 +99,22 @@ class TestFetchCrawl:
         assert crawl.health.gap_count == 1
 
     def test_max_pages_caps_discovery(self):
+        # The request budget caps the crawl: the frontier left when it
+        # runs out is recorded as budget gaps, not fetched.
         crawl = fetch_crawl(
-            build_site("ohio"), ["ohio-index.html"], max_pages=3
+            build_site("ohio"),
+            ["ohio-index.html"],
+            budget=CrawlBudget(max_requests=3),
         )
-        assert crawl.page_count == 3
+        assert crawl.health.requests == 3
         assert crawl.health.budget_exhausted is True
+        assert crawl.page_count == 2
+        budget_gaps = [
+            url
+            for url, reason in crawl.health.gaps.items()
+            if reason == GAP_BUDGET
+        ]
+        assert len(budget_gaps) == 16
 
     def test_counters_booked(self):
         obs = Observability()
@@ -115,17 +130,13 @@ class TestSnapshotRoundTrip:
         manifest = write_snapshot(crawl, tmp_path / "snap")
         assert manifest.name == CRAWL_SNAPSHOT_NAME
 
-        loaded = load_snapshot(tmp_path / "snap")
-        assert loaded.seeds == crawl.seeds
-        assert [p.url for p in loaded.pages] == [
-            p.url for p in crawl.pages
-        ]
-        assert [p.html for p in loaded.pages] == [
-            p.html for p in crawl.pages
-        ]
-        assert loaded.fingerprints == crawl.fingerprints
-        assert loaded.health.requests == crawl.health.requests
-        assert loaded.health.as_dict() == crawl.health.as_dict()
+        loaded = load_crawl_pages(tmp_path / "snap")
+        assert [p.url for p in loaded] == [p.url for p in crawl.pages]
+        assert [p.html for p in loaded] == [p.html for p in crawl.pages]
+        recorded = json.loads(manifest.read_text(encoding="utf-8"))
+        assert tuple(recorded["seeds"]) == crawl.seeds
+        assert recorded["fingerprints"] == crawl.fingerprints
+        assert recorded["crawl_health"] == crawl.health.as_dict()
 
     def test_manifest_is_deterministic_lf_only(self, tmp_path):
         crawl = fetch_crawl(build_site("ohio"), ["ohio-index.html"])
@@ -145,8 +156,9 @@ class TestSnapshotRoundTrip:
         assert replay.fingerprints == crawl.fingerprints
 
     def test_load_missing_manifest_raises(self, tmp_path):
+        # Neither a manifest nor pages: nothing to read back.
         with pytest.raises(ValueError):
-            load_snapshot(tmp_path)
+            load_crawl_pages(tmp_path)
 
 
 class TestDiff:
@@ -306,6 +318,45 @@ class TestIncrementalReingest:
         )
         assert again.reprocessed_page_count == 0
         assert again.reconciles()
+
+
+class TestBundleDirectoryGenerations:
+    def test_full_ingest_replaces_previous_generation(self, tmp_path):
+        # A smaller crawl ingested over a used --out leaves exactly its
+        # own bundles: segment-dir must not run the old generation's.
+        out = tmp_path / "bundles"
+        big = build_mixed_corpus(MixedCorpusSpec(sites=8, seed=3))
+        write_bundles(ingest_pages(big.pages), out)
+        small = build_mixed_corpus(MixedCorpusSpec(sites=3, seed=4))
+        manifest = write_bundles(ingest_pages(small.pages), out)
+        listed = {
+            entry["name"]
+            for entry in json.loads(manifest.read_text(encoding="utf-8"))[
+                "bundles"
+            ]
+        }
+        assert listed
+        on_disk = {path.parent.name for path in out.glob("*/sample.json")}
+        assert on_disk == listed
+
+    def test_reingest_never_removes_outside_out(self, tmp_path):
+        # A stale bundle name read from the previous manifest is only
+        # removed when it is a plain child of --out.
+        out = tmp_path / "bundles"
+        victim = tmp_path / "victim"
+        victim.mkdir()
+        (victim / "keep.txt").write_text("keep", encoding="utf-8")
+        previous = {
+            "fingerprints": {"gone.html": page_fingerprint("<p>gone</p>")},
+            "bundles": [{"name": "../victim", "pages": ["gone.html"]}],
+            "quarantine": [],
+        }
+        report = reingest_pages(
+            [Page(url="fresh.html", html="<p>fresh</p>")], previous
+        )
+        assert report.stale_bundles == ["../victim"]
+        write_reingest(report, out)
+        assert (victim / "keep.txt").read_text(encoding="utf-8") == "keep"
 
 
 class TestInvalidation:

@@ -11,7 +11,9 @@ from repro.tokens.types import (
     TokenType,
     classify_text,
     type_vector,
+    union_type_vector,
 )
+from repro.tokens.tokenizer import tokenize_html
 
 
 class TestClassification:
@@ -68,6 +70,15 @@ class TestTypeVector:
 
     def test_none_is_all_zero(self):
         assert type_vector(TokenType.NONE) == (0,) * 8
+
+    def test_union_is_elementwise_max(self):
+        tokens = tokenize_html("<b>Smith</b> 740 ,")
+        expected = tuple(
+            max(column)
+            for column in zip(*(type_vector(t.types) for t in tokens))
+        )
+        assert union_type_vector(tokens) == expected
+        assert union_type_vector([]) == (0,) * 8
 
 
 class TestProperties:

@@ -19,7 +19,10 @@ operator would:
    re-populating the store;
 6. proves ``/query``-visible state is clean: the store's site list has
    no removed bundle, and a broad query returns no row attributed to
-   one.
+   one;
+7. exports a smaller mixed crawl, runs a **full** ingest into the same
+   bundle directory, and asserts that the subdirectories holding a
+   ``sample.json`` are exactly the bundles the new manifest lists.
 
 Exits non-zero on the first failed expectation.  Run from the repo
 root (CI does)::
@@ -37,6 +40,7 @@ from pathlib import Path
 
 SLOTS = 12
 SEED = 7
+SMALL_SLOTS = 4
 
 
 def fail(message: str) -> None:
@@ -64,7 +68,11 @@ def run_cli(*args: str) -> str:
 
 
 def main() -> int:
-    tmp = Path(tempfile.mkdtemp(prefix="reingest_smoke_"))
+    with tempfile.TemporaryDirectory(prefix="reingest_smoke_") as tmp:
+        return run(Path(tmp))
+
+
+def run(tmp: Path) -> int:
     gen0, gen1 = tmp / "gen0", tmp / "gen1"
     bundles = tmp / "bundles"
     store_db = tmp / "tables.db"
@@ -181,6 +189,22 @@ def main() -> int:
             "query returns no rows from removed sub-sites",
         )
         check(len(site_ids) > 0, f"surviving sites still queryable ({len(site_ids)})")
+
+    small = tmp / "small"
+    run_cli(
+        "export-corpus", str(small), "--mixed", str(SMALL_SLOTS),
+        "--seed", str(SEED),
+    )
+    third = json.loads(
+        run_cli("ingest", str(small), "--out", str(bundles), "--json")
+    )
+    listed = {entry["name"] for entry in third["bundles"]}
+    on_disk = {path.parent.name for path in bundles.glob("*/sample.json")}
+    check(
+        len(listed) > 0 and on_disk == listed,
+        f"a full ingest over the used bundle directory leaves exactly "
+        f"its {len(listed)} bundles ({len(on_disk)} on disk)",
+    )
 
     print("reingest smoke: all checks passed")
     return 0
