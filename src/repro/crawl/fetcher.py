@@ -23,8 +23,9 @@ class DirectorySite:
 
     The inverse of a crawl snapshot: page URLs are file names inside
     ``directory``, ``fetch`` reads them back, and anything else —
-    missing files, path traversal, non-HTML names — is a permanent
-    :class:`FetchError`, exactly like a 404 from a live server.
+    missing files, path traversal, non-HTML names, files that are not
+    UTF-8 — is a permanent :class:`FetchError`, exactly like a 404
+    from a live server.
     """
 
     def __init__(self, directory: str | _Path) -> None:
@@ -43,7 +44,7 @@ class DirectorySite:
             raise FetchError(f"directory site does not serve {url!r}")
         try:
             html = (self.directory / name).read_text(encoding="utf-8")
-        except OSError as error:
+        except (OSError, UnicodeDecodeError) as error:
             raise FetchError(f"no page at {url!r}: {error}") from error
         return Page(url=name, html=html)
 
