@@ -11,7 +11,9 @@ file's ``note`` field and say so in the change description.
 
 from __future__ import annotations
 
+import functools
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -152,6 +154,29 @@ class TestMalformedInput:
         events = lex_html("</ >x")
         assert events[-1].kind is EventKind.TEXT
 
+    @pytest.mark.parametrize(
+        "tail, attrs",
+        [
+            (">", {}),
+            ('href="x.html">', {"href": "x.html"}),
+            ("x", {"x": ""}),
+            ("\u3000/>", {}),
+        ],
+    )
+    def test_long_whitespace_in_a_tag_lexes_in_linear_time(self, tail, attrs):
+        # An attribute pattern starting with ``\s*`` rescanned the rest
+        # of a whitespace run from each of its positions: tens of minutes
+        # at this length.  Linear lexing takes milliseconds.
+        document = "<a" + " " * 200_000 + tail
+        started = time.perf_counter()
+        events, links = lex_html(document), extract_links(document)
+        elapsed = time.perf_counter() - started
+        assert [(e.kind, e.start, e.end, e.attrs) for e in events] == [
+            (EventKind.TAG_OPEN, 0, len(document), attrs)
+        ]
+        assert links == ([attrs["href"]] if attrs.get("href") else [])
+        assert elapsed < 5.0
+
     def test_non_string_raises(self):
         with pytest.raises(HtmlParseError):
             lex_html(None)  # type: ignore[arg-type]
@@ -268,41 +293,64 @@ def corpus_pages(site_name: str):
     return pages
 
 
-def current_digests(mixed_seed: int, mixed_sites: int) -> dict:
-    """The golden file's digests, computed by the lexer under test."""
+@functools.cache
+def golden_pages(mixed_seed: int, mixed_sites: int) -> dict:
+    """The goldens' page set, built once per process: every page of each
+    corpus site and of generations 0 and 1 of one seeded mixed crawl."""
     return {
-        "corpus": {name: lex_digest(corpus_pages(name)) for name in TABLE4_ORDER},
+        "corpus": {name: corpus_pages(name) for name in TABLE4_ORDER},
         "mixed": {
-            str(generation): lex_digest(
-                build_mixed_corpus(
-                    MixedCorpusSpec(
-                        sites=mixed_sites, seed=mixed_seed, generation=generation
-                    )
-                ).pages
-            )
+            str(generation): build_mixed_corpus(
+                MixedCorpusSpec(
+                    sites=mixed_sites, seed=mixed_seed, generation=generation
+                )
+            ).pages
             for generation in (0, 1)
         },
     }
+
+
+def current_digests(golden: dict, digest) -> dict:
+    """``digest`` of each page group of ``golden``'s page set, computed
+    by the code under test."""
+    pages = golden_pages(golden["mixed_seed"], golden["mixed_sites"])
+    return {
+        part: {key: digest(group) for key, group in groups.items()}
+        for part, groups in pages.items()
+    }
+
+
+def assert_matches_golden(path: Path, digest) -> None:
+    """Every digest recorded in the golden file ``path`` holds."""
+    golden = json.loads(path.read_text())
+    current = current_digests(golden, digest)
+    assert current["corpus"] == golden["corpus"]
+    assert current["mixed"] == golden["mixed"]
+
+
+def assert_golden_covers_corpus_and_both_generations(path: Path) -> None:
+    golden = json.loads(path.read_text())
+    assert list(golden["corpus"]) == list(TABLE4_ORDER)
+    assert set(golden["mixed"]) == {"0", "1"}
+    assert golden["mixed_sites"] == 40
+
+
+def rerecord_golden(path: Path, digest) -> None:
+    """Re-record the golden file ``path`` (keeps the note and the crawl spec)."""
+    golden = json.loads(path.read_text())
+    golden.update(current_digests(golden, digest))
+    path.write_text(json.dumps(golden, indent=2) + "\n")
 
 
 class TestLexerGolden:
     """Events are byte-identical to the recorded lexer's, page for page."""
 
     def test_events_match_golden(self):
-        golden = json.loads(GOLDEN_PATH.read_text())
-        current = current_digests(golden["mixed_seed"], golden["mixed_sites"])
-        assert current["corpus"] == golden["corpus"]
-        assert current["mixed"] == golden["mixed"]
+        assert_matches_golden(GOLDEN_PATH, lex_digest)
 
     def test_golden_covers_corpus_and_both_generations(self):
-        golden = json.loads(GOLDEN_PATH.read_text())
-        assert list(golden["corpus"]) == list(TABLE4_ORDER)
-        assert set(golden["mixed"]) == {"0", "1"}
-        assert golden["mixed_sites"] == 40
+        assert_golden_covers_corpus_and_both_generations(GOLDEN_PATH)
 
 
 if __name__ == "__main__":
-    # Re-record the golden digests (keeps the note and the crawl spec).
-    golden = json.loads(GOLDEN_PATH.read_text())
-    golden.update(current_digests(golden["mixed_seed"], golden["mixed_sites"]))
-    GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n")
+    rerecord_golden(GOLDEN_PATH, lex_digest)
