@@ -52,6 +52,7 @@ Counters (see ``docs/observability.md``): ``serve.requests``,
 
 from __future__ import annotations
 
+import threading
 import time
 import uuid
 from dataclasses import dataclass
@@ -61,7 +62,6 @@ from repro.core.config import METHODS
 from repro.core.exceptions import ConfigError, ExtractionError, ReproError
 from repro.core.pipeline import DEGRADED_META, SegmentationPipeline, SiteRun
 from repro.obs import MetricsRegistry, Observability
-from repro.relational.detail_fields import detail_field_pairs
 from repro.runner.cache import StageCache
 from repro.serve.drift import DriftVerdict, wrapped_page_quality
 from repro.serve.registry import WrapperRegistry
@@ -189,6 +189,8 @@ class SegmentationService:
         self.config = config or ServiceConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.started_at = time.time()
+        #: Set to end every ``_sleep`` test-hook wait at once.
+        self.sleep_released = threading.Event()
         cache = None
         if self.config.wrapper_cache_dir is not None:
             cache = StageCache(
@@ -243,10 +245,11 @@ class SegmentationService:
     def _segment(self, payload: Any, obs: Observability) -> dict[str, Any]:
         if isinstance(payload, dict) and "_sleep" in payload:
             # Test hook (cf. the runner's ``_sleep`` task kind): hold a
-            # worker for a bounded time so admission-control and
-            # deadline tests can saturate the queue deterministically.
+            # worker for a bounded time, or until ``sleep_released`` is
+            # set, so admission-control and deadline tests can saturate
+            # the queue deterministically.
             seconds = min(float(payload["_sleep"]), 30.0)
-            time.sleep(max(seconds, 0.0))
+            self.sleep_released.wait(max(seconds, 0.0))
             return {"path": "sleep", "slept_s": seconds, "pages": [],
                     "record_count": 0}
         site_id, list_pages, details = pages_from_payload(payload)
@@ -341,23 +344,25 @@ class SegmentationService:
             obs.counter("store.ingest.skipped").inc()
             return
         try:
+            pipeline = SegmentationPipeline(method, obs=obs)
             details_by_url = {
                 list_page.url: page_details
                 for list_page, page_details in zip(list_pages, details)
+                if page_details
             }
-            entries = []
-            for page in pages:
-                page_details = details_by_url.get(page["url"])
-                fields = (
-                    detail_field_pairs(page_details)
-                    if page_details and page["records"]
-                    else None
-                )
-                entries.append(
-                    page_entry(page["url"], page["records"], fields)
-                )
             ingest_pages(
-                self.store, site_id, method, entries, source="serve", obs=obs
+                self.store,
+                site_id,
+                method,
+                [page_entry(page["url"], page["records"]) for page in pages],
+                source="serve",
+                obs=obs,
+                # Called only when the store writes.
+                detail_fields=lambda url: (
+                    pipeline.detail_fields(details_by_url[url])
+                    if url in details_by_url
+                    else None
+                ),
             )
         except Exception:  # a broken store must not fail the request
             obs.counter("store.ingest.errors").inc()

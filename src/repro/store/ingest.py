@@ -17,26 +17,32 @@ the ``{"url", "records", "record_count"}`` dicts of
 
 Semantic column names ride on each entry (``"names"``), computed by
 :func:`page_entry` from the labels parsed off the site's detail pages
-(:func:`repro.relational.detail_fields.detail_field_pairs`) through the
-existing :mod:`repro.relational` naming — the same agreement voting
-that names columns in the paper's combined view.  Batch workers take
-those parsed labels from the pipeline's cached ``detail_fields``
-stage; the serve path parses them per request.
+(:meth:`repro.core.pipeline.SegmentationPipeline.detail_fields`, the
+pipeline's ``detail_fields`` stage) through the existing
+:mod:`repro.relational` naming — the same agreement voting that names
+columns in the paper's combined view.  Batch workers name their
+entries before they return them, reading the stage through their
+stage cache.  The serve path hands :func:`ingest_pages` unnamed
+entries plus a ``detail_fields`` callback, so detail pages are parsed
+only when the store writes.
 
 Idempotence: a site's content fingerprint (canonical SHA-256 of its
-wire pages, via :func:`repro.runner.cache.fingerprint`) is stored on
-its ``sites`` row.  Re-ingesting unchanged content is a no-op
+wire pages' URLs and records, via
+:func:`repro.runner.cache.fingerprint`) is stored on its ``sites``
+row.  Re-ingesting unchanged content is a no-op
 (``store.ingest.unchanged``); changed content replaces the site's
 columns and cells in one transaction (``store.ingest.replaced``); a
 quarantined or degraded run is never ingested
 (``store.ingest.skipped``) so a broken crawl cannot poison good data.
+Column names are not part of the fingerprint: content whose only
+change is its detail labels reads as unchanged.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.obs import Observability
 from repro.relational.naming import name_columns
@@ -130,7 +136,7 @@ def page_entry(
             :func:`~repro.serve.schema.wrapped_row_records`).
         fields: the page's detail pages parsed into
             ``{record: {label: value}}``
-            (:func:`~repro.relational.detail_fields.detail_field_pairs`);
+            (:meth:`~repro.core.pipeline.SegmentationPipeline.detail_fields`);
             when given, columns are named through the relational layer
             and the names ride on the entry as ``{"L0": "Owner", ...}``.
     """
@@ -161,8 +167,16 @@ def ingest_pages(
     entries: Sequence[dict[str, Any]],
     source: str = "batch",
     obs: Observability | None = None,
+    detail_fields: Callable[[str], dict[int, dict[str, str]] | None]
+    | None = None,
 ) -> str:
     """Upsert one site's wire pages; returns the outcome.
+
+    Args:
+        detail_fields: when given, parses a list page's detail pages
+            (by page URL) into :func:`page_entry`'s ``fields``; it is
+            called only when the store writes, for each entry with
+            records, and those entries are named from its answer.
 
     Returns:
         ``"inserted"`` (new site), ``"replaced"`` (content changed),
@@ -181,6 +195,15 @@ def ingest_pages(
         if previous == digest:
             obs.counter("store.ingest.unchanged").inc()
             return "unchanged"
+        if detail_fields is not None:
+            entries = [
+                page_entry(
+                    entry["url"],
+                    entry["records"],
+                    detail_fields(entry["url"]) if entry["records"] else None,
+                )
+                for entry in entries
+            ]
 
         # Union the site's columns across pages: first page to name a
         # column wins (page order is deterministic), positions come

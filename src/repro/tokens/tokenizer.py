@@ -48,6 +48,10 @@ __all__ = [
 #: Punctuation characters allowed *inside* extracts (paper Section 3.2).
 DEFAULT_ALLOWED_PUNCT = frozenset(".,()-")
 
+# Type tests read the member's int bits (see repro.tokens.types).
+_HTML = TokenType.HTML.value
+_PUNCT = TokenType.PUNCT.value
+
 
 @dataclass(frozen=True, slots=True)
 class Token:
@@ -72,12 +76,12 @@ class Token:
     @property
     def is_html(self) -> bool:
         """True for tag tokens."""
-        return TokenType.HTML in self.types
+        return self.types._value_ & _HTML != 0
 
     @property
     def is_punct(self) -> bool:
         """True for pure-punctuation tokens."""
-        return TokenType.PUNCT in self.types
+        return self.types._value_ & _PUNCT != 0
 
     def __reduce__(self):
         # Pickle as constructor arguments: one call per token on load,
@@ -98,9 +102,10 @@ def is_separator(
     Separators are HTML tags and punctuation tokens containing any
     character outside the allowed set.
     """
-    if token.is_html:
+    bits = token.types._value_
+    if bits & _HTML:
         return True
-    if token.is_punct:
+    if bits & _PUNCT:
         return any(char not in allowed_punct for char in token.text)
     return False
 

@@ -19,6 +19,10 @@ The types form a small specialization hierarchy::
 They are modelled as bit flags so a token carries its full type *set*
 (e.g. ``ALNUM | ALPHA | CAPITALIZED``), exactly as the probabilistic
 model's emission variables require (``T_i`` is an 8-vector).
+
+Per-token tests read a member's int ``_value_`` and test its bits:
+a ``Flag`` operator, ``in`` test or ``.value`` read goes through the
+enum machinery, and these tests run once per token of every page.
 """
 
 from __future__ import annotations
@@ -64,9 +68,9 @@ TOKEN_TYPE_ORDER: tuple[TokenType, ...] = (
 
 NUM_TOKEN_TYPES = len(TOKEN_TYPE_ORDER)
 
-_ALNUM, _NUMERIC, _ALPHA, _CAPITALIZED, _LOWERCASE, _ALLCAPS = (
-    flag.value for flag in TOKEN_TYPE_ORDER[2:]
-)
+#: Each type's bit, in ``TOKEN_TYPE_ORDER``.
+_BITS = tuple(flag.value for flag in TOKEN_TYPE_ORDER)
+_ALNUM, _NUMERIC, _ALPHA, _CAPITALIZED, _LOWERCASE, _ALLCAPS = _BITS[2:]
 
 #: Type-set bits -> the canonical ``TokenType`` member, filled on demand.
 _MEMBERS: dict[int, TokenType] = {}
@@ -106,6 +110,24 @@ def classify_text(text: str) -> TokenType:
     if not text:
         return TokenType.NONE
 
+    if text.isascii():
+        # Every ASCII letter is cased, so on an all-letter ASCII piece
+        # each ``str`` predicate answers its per-letter rule below in
+        # one C call, and an all-digit piece has no letters.  Other
+        # letters may be uncased or titlecase: the rest of the text
+        # takes the per-character path.
+        if text.isalpha():
+            bits = _ALNUM | _ALPHA
+            if text.isupper():
+                bits |= _ALLCAPS if len(text) >= 2 else _CAPITALIZED
+            elif text.islower():
+                bits |= _LOWERCASE
+            elif text[0].isupper():
+                bits |= _CAPITALIZED
+            return _member(bits)
+        if text.isdigit():
+            return _member(_ALNUM | _NUMERIC)
+
     letters = [char for char in text if char.isalpha()]
     has_digit = any(char.isdigit() for char in text)
 
@@ -131,13 +153,21 @@ def classify_text(text: str) -> TokenType:
     return member
 
 
+def _member(bits: int) -> TokenType:
+    """The canonical ``TokenType`` member of a type-set's bits."""
+    member = _MEMBERS.get(bits)
+    if member is None:
+        member = _MEMBERS[bits] = TokenType(bits)
+    return member
+
+
 def type_vector(types: TokenType) -> tuple[int, ...]:
     """The 8-element 0/1 vector ``T_i`` for a type set.
 
     >>> type_vector(TokenType.ALNUM | TokenType.NUMERIC)
     (0, 0, 1, 1, 0, 0, 0, 0)
     """
-    return tuple(int(bool(types & t)) for t in TOKEN_TYPE_ORDER)
+    return _vector(types._value_)
 
 
 def union_type_vector(tokens) -> tuple[int, ...]:
@@ -148,5 +178,9 @@ def union_type_vector(tokens) -> tuple[int, ...]:
     """
     bits = 0
     for token in tokens:
-        bits |= token.types.value
-    return type_vector(TokenType(bits))
+        bits |= token.types._value_
+    return _vector(bits)
+
+
+def _vector(bits: int) -> tuple[int, ...]:
+    return tuple([1 if bits & bit else 0 for bit in _BITS])

@@ -27,6 +27,7 @@ from repro.store import (
     query_store,
 )
 from repro.store.catalog import canonical_label, match_strength
+from repro.webdoc.page import Page
 
 
 def wire_record(*texts, columns=None):
@@ -478,6 +479,110 @@ class TestServePath:
         assert [p["records"] for p in cold["pages"]] == [
             p["records"] for p in warm["pages"]
         ]
+
+    def test_fields_are_parsed_only_when_the_store_writes(
+        self, tmp_path, ohio_payload, monkeypatch
+    ):
+        from repro.core.pipeline import SegmentationPipeline
+        from repro.serve import SegmentationService, ServiceConfig
+
+        service = SegmentationService(
+            ServiceConfig(method="prob", store_path=str(tmp_path / "f.db"))
+        )
+        service.segment(ohio_payload)
+        parsed = []
+        real = SegmentationPipeline.detail_fields
+
+        def spy(pipeline, details):
+            parsed.append(len(details))
+            return real(pipeline, details)
+
+        monkeypatch.setattr(SegmentationPipeline, "detail_fields", spy)
+        unchanged = service.metrics.counter("store.ingest.unchanged")
+        warm = service.segment(ohio_payload)
+        assert warm["path"] == "wrapper"
+        assert unchanged.value == 1
+        assert parsed == []
+        # A request that changes the site's content writes, and so parses.
+        single = dict(ohio_payload, pages=ohio_payload["pages"][:1])
+        assert service.segment(single)["path"] == "wrapper"
+        assert unchanged.value == 1
+        assert parsed == [len(ohio_payload["pages"][0]["details"])]
+
+    def test_write_time_naming_stores_what_eager_naming_does(self, tmp_path):
+        """A seeded cold-then-warm sequence over a mixed crawl.
+
+        The reference names every healthy response's pages before the
+        store looks at the fingerprint (detail pages parsed with
+        ``detail_field_pairs`` on every request) and ingests them into
+        a second store; every table but ``ingested_at`` must match.
+        """
+        import random
+
+        from repro.ingest import ingest_pages as bundle_pages
+        from repro.relational.detail_fields import detail_field_pairs
+        from repro.serve import SegmentationService, ServiceConfig
+        from repro.serve import payload_from_pages
+        from repro.sitegen.mixed import MixedCorpusSpec, build_mixed_corpus
+
+        corpus = build_mixed_corpus(MixedCorpusSpec(sites=4, seed=3))
+        bundles = bundle_pages(corpus.pages).bundles
+        requests = [
+            payload_from_pages(b.name, b.list_pages, b.detail_pages_per_list)
+            for b in bundles
+        ]
+        singles = [
+            payload_from_pages(b.name, [page], [details])
+            for b in bundles
+            for page, details in zip(b.list_pages, b.detail_pages_per_list)
+        ]
+        rng = random.Random(7)
+        requests += [rng.choice(singles) for _ in range(3 * len(singles))]
+
+        service = SegmentationService(
+            ServiceConfig(method="prob", store_path=str(tmp_path / "lazy.db"))
+        )
+        skipped = service.metrics.counter("store.ingest.skipped")
+        with RelationalStore(tmp_path / "eager.db", obs=Observability()) as eager:
+            for payload in requests:
+                before = skipped.value
+                response = service.segment(payload)
+                if skipped.value > before:
+                    continue
+                details = {
+                    page.get("url"): page["details"]
+                    for page in payload["pages"]
+                }
+                entries = []
+                for page in response["pages"]:
+                    site_details = [
+                        Page(url=f"d{i}.html", html=html, kind="detail")
+                        for i, html in enumerate(details[page["url"]])
+                    ]
+                    fields = (
+                        detail_field_pairs(site_details)
+                        if site_details and page["records"]
+                        else None
+                    )
+                    entries.append(
+                        page_entry(page["url"], page["records"], fields)
+                    )
+                ingest_pages(
+                    eager, response["site"], "prob", entries, source="serve"
+                )
+            outcomes = service.metrics.as_dict()["counters"]
+            assert outcomes["store.ingest.unchanged"] > 0
+            assert outcomes["store.ingest.replaced"] > 0
+            for query in (
+                "SELECT * FROM cells ORDER BY 1, 2, 3, 4, 5",
+                "SELECT * FROM site_columns ORDER BY 1, 2, 3",
+                "SELECT * FROM attributes ORDER BY 1",
+                "SELECT site_id, method, fingerprint, page_count,"
+                " record_count, source FROM sites ORDER BY 1, 2",
+            ):
+                expected = eager.execute(query)
+                assert expected
+                assert service.store.execute(query) == expected
 
     def test_query_without_store_is_404(self):
         from repro.serve import SegmentationService, ServeError, ServiceConfig

@@ -64,7 +64,15 @@ def server_factory():
 
     yield build
     for server in servers:
+        server.service.sleep_released.set()
         server.shutdown(drain_timeout_s=5.0)
+
+
+def wait_for(condition, timeout_s=30.0):
+    """Poll ``condition`` until it holds or ``timeout_s`` passes."""
+    deadline = time.monotonic() + timeout_s
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
 
 
 def test_acceptance_cold_warm_drift(server_factory):
@@ -119,19 +127,20 @@ def test_queue_saturation_answers_429(server_factory):
     server, client = server_factory(
         ServiceConfig(workers=1, max_queue=1)
     )
-    release = threading.Event()
     statuses: list[int] = []
     lock = threading.Lock()
 
     def fire():
-        response = client.sleep(1.0)
+        # Held until released below, however slowly the others arrive.
+        response = client.sleep(30.0)
         with lock:
             statuses.append(response.status)
-        release.set()
 
     threads = [threading.Thread(target=fire) for _ in range(4)]
     for thread in threads:
         thread.start()
+    wait_for(lambda: len(statuses) >= 2)
+    server.service.sleep_released.set()
     for thread in threads:
         thread.join()
     # 1 in flight + 1 queued; the other two are shed at the door.
@@ -298,13 +307,11 @@ def test_watchdog_converts_hung_request_to_504(server_factory):
         hung_grace_s=0.2,
     )
     server, client = server_factory(config)
-    hung = client.sleep(5.0)  # wedges the only worker thread
+    # Wedges the only worker thread until the fixture releases it.
+    hung = client.sleep(30.0)
     assert hung.status == 504
     metrics = server.service.metrics
-    for _ in range(100):
-        if metrics.counter("serve.watchdog.hung_requests").value >= 1:
-            break
-        time.sleep(0.01)
+    wait_for(lambda: metrics.counter("serve.watchdog.hung_requests").value >= 1)
     assert metrics.counter("serve.watchdog.hung_requests").value >= 1
     assert metrics.counter("serve.watchdog.replacements").value >= 1
     # The replacement thread restored capacity: a fresh request works

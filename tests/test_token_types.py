@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+import string
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.tokens.types import (
     NUM_TOKEN_TYPES,
@@ -13,7 +16,48 @@ from repro.tokens.types import (
     type_vector,
     union_type_vector,
 )
-from repro.tokens.tokenizer import tokenize_html
+from repro.tokens.tokenizer import (
+    DEFAULT_ALLOWED_PUNCT,
+    Token,
+    is_separator,
+    tokenize_html,
+)
+
+
+def reference_classify(text: str) -> TokenType:
+    """The per-character rules, written with ``Flag`` operators."""
+    if not text:
+        return TokenType.NONE
+    letters = [char for char in text if char.isalpha()]
+    has_digit = any(char.isdigit() for char in text)
+    if not letters and not has_digit:
+        return TokenType.PUNCT
+    types = TokenType.ALNUM
+    if has_digit and not letters:
+        types |= TokenType.NUMERIC
+    if letters:
+        types |= TokenType.ALPHA
+        if all(char.isupper() for char in letters):
+            types |= (
+                TokenType.ALLCAPS if len(letters) >= 2 else TokenType.CAPITALIZED
+            )
+        elif all(char.islower() for char in letters):
+            types |= TokenType.LOWERCASE
+        elif letters[0].isupper():
+            types |= TokenType.CAPITALIZED
+    return types
+
+
+#: Every type set: the 256 subsets of the eight types.
+ALL_TYPE_SETS = [TokenType(bits) for bits in range(1 << NUM_TOKEN_TYPES)]
+
+ASCII = [chr(code) for code in range(128)]
+
+#: Non-ASCII characters the per-character path must keep classifying:
+#: a cased letter, a titlecase letter, an uncased letter, a lowercase
+#: ordinal indicator, an Arabic-Indic digit, a vulgar fraction (numeric
+#: but not a digit) and a no-break space.
+NON_ASCII = ["é", "ǅ", "中", "ª", "٣", "½", "\u00a0"]
 
 
 class TestClassification:
@@ -120,3 +164,52 @@ class TestProperties:
         if TokenType.NUMERIC in types:
             assert TokenType.ALNUM in types
             assert TokenType.ALPHA not in types
+
+
+class TestFastPaths:
+    """Int bit tests and the ASCII shortcut answer as ``Flag`` logic does."""
+
+    def test_every_short_ascii_string_matches_the_reference(self):
+        for length in range(3):
+            for chars in itertools.product(ASCII, repeat=length):
+                text = "".join(chars)
+                assert classify_text(text) is reference_classify(text), text
+
+    @given(
+        st.text(
+            alphabet=st.sampled_from(ASCII)
+            | st.sampled_from(string.ascii_letters + string.digits)
+            | st.sampled_from(NON_ASCII),
+            max_size=12,
+        )
+    )
+    # An uncased letter reads as upper- or lowercase to ``str.isupper``
+    # and ``str.islower`` when the rest of the string is.
+    @example("A中")
+    @example("ab中")
+    def test_mixed_text_matches_the_reference(self, text):
+        assert classify_text(text) is reference_classify(text)
+
+    def test_token_tests_match_flag_membership(self):
+        for types, text in itertools.product(ALL_TYPE_SETS, ("<b>", "|", ",", "a")):
+            token = Token(text, types, 0)
+            assert token.is_html == (TokenType.HTML in types), types
+            assert token.is_punct == (TokenType.PUNCT in types), types
+            expected = TokenType.HTML in types or (
+                TokenType.PUNCT in types
+                and any(char not in DEFAULT_ALLOWED_PUNCT for char in text)
+            )
+            assert is_separator(token) == expected, (types, text)
+
+    def test_vectors_match_flag_membership(self):
+        for types in ALL_TYPE_SETS:
+            expected = tuple(int(flag in types) for flag in TOKEN_TYPE_ORDER)
+            assert type_vector(types) == expected, types
+            assert union_type_vector([Token("x", types, 0)]) == expected, types
+
+    def test_union_of_two_sets_is_their_elementwise_maximum(self):
+        for first, second in itertools.product(ALL_TYPE_SETS, repeat=2):
+            tokens = [Token("x", first, 0), Token("y", second, 1)]
+            assert union_type_vector(tokens) == tuple(
+                int(flag in first or flag in second) for flag in TOKEN_TYPE_ORDER
+            ), (first, second)
