@@ -39,13 +39,11 @@ _EXPORTS = {
     ),
     "repro.core.hybrid": ("HybridConfig", "HybridSegmenter"),
     "repro.core.pipeline": (
-        "PIPELINE_GRAPH",
         "PageRun",
         "SegmentationPipeline",
         "SiteRun",
         "bind_token_cache",
     ),
-    "repro.core.stages": ("Degradation", "Stage", "StageContext", "StageGraph"),
     "repro.core.results": ("SegmentedRecord", "Segmentation"),
 }
 

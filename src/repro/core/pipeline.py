@@ -12,25 +12,19 @@ link order, :class:`SegmentationPipeline` runs the full method:
    (Section 4) or ``"prob"`` (Section 5);
 5. the rest-of-the-data attachment rule (Section 6.2).
 
-Since the stage-graph refactor the pipeline is a *thin assembly of
-stage declarations*: the catalogue below (:data:`PIPELINE_GRAPH`)
-declares each stage's dependencies, cache-key parts, compute function,
-span/counter emissions, and degradation ladder as data, and the
-generic :class:`~repro.core.stages.StageGraph` executor supplies the
-plumbing.  ``segment_site`` seeds a :class:`~repro.core.stages.StageContext`
-with the sample and the config, runs the ``template`` stage once per
-site and the ``extracts → observations → segment`` chain once per list
-page, and assembles the :class:`SiteRun`.  The other drivers — the
-batch runner's workers (:mod:`repro.runner.worker`), the online
+The pipeline runs these stages directly: ``segment_site`` resolves
+the ``template`` once per site, then runs the ``extracts →
+observations → segment`` chain once per list page.  Every driver —
+the batch runner's workers (:mod:`repro.runner.worker`), the online
 service (:mod:`repro.serve.service`), the experiment sweeps
-(:mod:`repro.reporting.experiment`) — enter the same graph instead of
-re-implementing the plumbing.
+(:mod:`repro.reporting.experiment`) — enters through
+``segment_site``, :meth:`SegmentationPipeline.detail_fields` or
+:func:`bind_token_cache`.
 
 The pipeline never raises on a *degenerate page* (no extracts survive
-the filters): the ``segment`` stage's degradation ladder returns an
-empty segmentation with the reason in ``meta`` so corpus-wide runs
-always complete, mirroring how the paper reports such pages as rows of
-unsegmented records.
+the filters): the ``segment`` step returns an empty segmentation with
+the reason in ``meta`` so corpus-wide runs always complete, mirroring
+how the paper reports such pages as rows of unsegmented records.
 
 The same best-effort stance extends to *degenerate samples* from
 incomplete crawls: template failures (including a raised
@@ -39,8 +33,8 @@ whole-page fallback, a single surviving list page is segmented without
 template induction, and a :class:`~repro.crawl.resilient.CrawlHealth`
 report handed in by the crawl layer is carried on the
 :class:`SiteRun` and summarized into every ``Segmentation.meta`` — so
-evaluation can condition accuracy on crawl completeness.  Each rung of
-that ladder is a declared :class:`~repro.core.stages.Degradation`.
+evaluation can condition accuracy on crawl completeness.  Both
+template fallbacks are booked in the report's ``fallbacks``.
 
 Every stage is also *cacheable*: constructed with a ``cache`` (any
 object with the :class:`~repro.runner.cache.StageCache` interface —
@@ -48,16 +42,18 @@ the pipeline itself depends on nothing in :mod:`repro.runner`), each
 stage is looked up by a content fingerprint of its exact inputs (page
 bytes + the stage's config slice) before being computed, so warm
 re-runs and parameter sweeps skip the work upstream of the changed
-knob.  Keys chain: each stage's key hashes its dependencies' keys
-with its own inputs, and a stage whose key hits is loaded without
-reading its dependencies, so a warm list page reads only its
-``segment`` entry.  Caching engages only for pristine samples: a run
-carrying a ``crawl_health`` report came through a (possibly
-fault-injected) crawl whose degradation bookkeeping must actually
-execute, so it always computes.  Two stages sit outside the per-site
-chain: ``tokenize``, which :func:`bind_token_cache` puts behind each
-page's :meth:`~repro.webdoc.page.Page.tokens` so a stream is read only
-when a stage that missed needs it, and ``detail_fields``
+knob.  Keys chain (:func:`~repro.core.stages.stage_key`): each
+stage's key hashes the keys of the stages it reads with its own
+inputs, and a stage whose key hits is loaded without reading anything
+upstream, so a warm list page reads only its ``segment`` entry.  Keys
+are hashed only when there is a cache.  Caching engages only for
+pristine samples: a run carrying a ``crawl_health`` report came
+through a (possibly fault-injected) crawl whose degradation
+bookkeeping must actually execute, so it always computes.  Two stages
+sit outside the per-site chain: ``tokenize``, which
+:func:`bind_token_cache` puts behind each page's
+:meth:`~repro.webdoc.page.Page.tokens` so a stream is read only when
+a stage that missed needs it, and ``detail_fields``
 (:meth:`SegmentationPipeline.detail_fields`), the detail-page
 label/value parse that names store columns.
 
@@ -67,12 +63,11 @@ The pipeline is fully instrumented: handed an
 list page the extract / observation / segment stages, each with
 counts in its attributes) and books stage totals into the metrics
 registry — the per-stage cost profile ``docs/observability.md``
-documents.  The per-stage spans and counters are emitted by the stage
-executor from the declarations, not by per-call-site code.  Without a
-bundle it falls back to the installed default
-(:func:`repro.obs.current`), which is a no-op unless the CLI's
-``--trace``/``--metrics-out`` flags or the benchmark session profile
-installed a live bundle.
+documents.  A stage served from the cache opens only its own span and
+books only its own counter.  Without a bundle it falls back to the
+installed default (:func:`repro.obs.current`), which is a no-op unless
+the CLI's ``--trace``/``--metrics-out`` flags or the benchmark session
+profile installed a live bundle.
 """
 
 from __future__ import annotations
@@ -91,25 +86,25 @@ from repro.core.exceptions import (
     TemplateNotFoundError,
 )
 from repro.core.results import Segmentation
-from repro.core.stages import Degradation, Stage, StageContext, StageGraph
+from repro.core.stages import stage_key
 from repro.csp.segmenter import CspSegmenter
 from repro.extraction.extracts import extract_strings
 from repro.extraction.observations import ObservationTable
 from repro.obs import Observability, current as current_obs
 from repro.template.finder import TemplateFinder, TemplateVerdict
 from repro.template.model import PageTemplate
-from repro.template.table_slot import resolve_table_regions
+from repro.template.table_slot import TableRegion, resolve_table_regions
 from repro.tokens.tokenizer import Token, tokenize_html
 from repro.webdoc.page import Page
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.crawl.resilient import CrawlBudget, CrawlHealth
+    from repro.extraction.matching import TokenTable
     from repro.sitegen.faults import FaultPlan
     from repro.sitegen.site import GeneratedSite
 
 __all__ = [
     "DEGRADED_META",
-    "PIPELINE_GRAPH",
     "PageRun",
     "SiteRun",
     "SegmentationPipeline",
@@ -168,189 +163,37 @@ def _failed_verdict(reason: str, page_count: int) -> TemplateVerdict:
     )
 
 
-#: Segmentation meta keys the ``segment`` stage's degradation ladder
-#: sets on a page it could not segment.  The batch runner quarantines a
-#: site on them, and the service does not ingest such a run.
+#: Segmentation meta keys the ``segment`` step sets on a page it could
+#: not segment.  The batch runner quarantines a site on them, and the
+#: service does not ingest such a run.
 DEGRADED_META = ("segmenter_error", "empty_problem")
 
 
-def _empty_segmentation(ctx: StageContext, **meta: Any) -> Segmentation:
-    """The degradation ladder's single exit: no records, reason in meta."""
-    return Segmentation(
-        method=ctx["method"],
-        records=[],
-        table=ctx["observations"],
-        meta=dict(meta),
-    )
+def _book(health: CrawlHealth | None, fallback: str) -> None:
+    """Record a sample-level fallback in the crawl's health report, if any."""
+    if health is not None:
+        health.fallbacks.append(fallback)
 
 
-def _template_result_attrs(verdict: TemplateVerdict, ctx: StageContext) -> dict:
-    attrs: dict = {"ok": verdict.ok}
-    if not verdict.ok:
-        attrs["reason"] = verdict.reason
-    return attrs
+def _get(cache: Any, stage: str, key: str | None) -> Any:
+    """A stage's cached value, or None on a miss or without a cache."""
+    if cache is None:
+        return None
+    found, value = cache.get(stage, key)
+    return value if found else None
 
 
-def _detail_fields(ctx: StageContext) -> dict[int, dict[str, str]]:
-    # Imported on use: only store-bound runs name columns, so the
-    # relational layer stays out of worker start-up.
-    from repro.relational.detail_fields import detail_field_pairs
-
-    return detail_field_pairs(ctx["details"], ctx["config"].allowed_punct)
-
-
-def _build_pipeline_graph() -> StageGraph:
-    """The paper's stage catalogue, declared as data.
-
-    Context inputs the stages read (seeded by the drivers):
-
-    * site scope — ``list_pages``, ``list_htmls``, ``config``,
-      ``method``, ``method_config``, ``finder``, ``make_segmenter``;
-    * page scope — ``index``, ``region``, ``details``, ``other_lists``;
-    * tokenize scope — ``page``;
-    * detail-fields scope — ``details``, ``config``.
-    """
-    tokenize = Stage(
-        name="tokenize",
-        key=lambda ctx: (ctx["page"].html,),
-        compute=lambda ctx: tokenize_html(ctx["page"].html),
-    )
-    detail_fields = Stage(
-        name="detail_fields",
-        key=lambda ctx: (
-            [page.html for page in ctx["details"]],
-            ctx["config"].allowed_punct,
-        ),
-        compute=_detail_fields,
-    )
-    template = Stage(
-        name="template",
-        key=lambda ctx: (ctx["list_htmls"], ctx["config"].template),
-        compute=lambda ctx: ctx["finder"].find(ctx["list_pages"]),
-        span="pipeline.template",
-        span_attrs=lambda ctx: {"pages": len(ctx["list_pages"])},
-        result_attrs=_template_result_attrs,
-        finalize=lambda verdict, ctx: ctx.set(
-            "regions", resolve_table_regions(ctx["list_pages"], verdict)
-        ),
-        degradations=(
-            # A single-page sample (the rest quarantined by the crawl)
-            # skips induction entirely: it needs two pages.
-            Degradation(
-                label="single_list_page",
-                condition=lambda ctx: len(ctx["list_pages"]) == 1,
-                fallback=lambda error, ctx: _failed_verdict(
-                    "only one list page survived the crawl; template "
-                    "induction needs two",
-                    page_count=1,
-                ),
-            ),
-            # A raised template failure becomes the paper's
-            # Section 6.2 whole-page fallback.
-            Degradation(
-                label="whole_page_template",
-                exceptions=(TemplateNotFoundError, InsufficientPagesError),
-                fallback=lambda error, ctx: _failed_verdict(
-                    str(error), page_count=len(ctx["list_pages"])
-                ),
-            ),
-        ),
-    )
-    extracts = Stage(
-        name="extracts",
-        deps=("template",),
-        key=lambda ctx: (ctx["index"], ctx["config"].allowed_punct),
-        compute=lambda ctx: extract_strings(
-            ctx["region"], ctx["config"].allowed_punct
-        ),
-        span="pipeline.extracts",
-        result_attrs=lambda extracts, ctx: {"count": len(extracts)},
-        counters=lambda extracts, ctx: (("pipeline.extracts", len(extracts)),),
-    )
-    observations = Stage(
-        name="observations",
-        deps=("extracts",),
-        key=lambda ctx: (
-            [page.html for page in ctx["details"]],
-            ctx["config"].match,
-        ),
-        compute=lambda ctx: ObservationTable.build(
-            ctx["extracts"],
-            ctx["details"],
-            other_list_pages=ctx["other_lists"],
-            options=ctx["config"].match,
-            token_table=ctx["token_table"],
-            obs=ctx["obs"],
-        ),
-        span="pipeline.observations",
-        span_attrs=lambda ctx: {"detail_pages": len(ctx["details"])},
-        result_attrs=lambda table, ctx: {
-            "observations": len(table.observations)
-        },
-        counters=lambda table, ctx: (
-            ("pipeline.observations", len(table.observations)),
-        ),
-    )
-    segment = Stage(
-        name="segment",
-        deps=("observations",),
-        key=lambda ctx: (ctx["method"], ctx["method_config"]),
-        compute=lambda ctx: ctx["make_segmenter"]().segment(
-            ctx["observations"]
-        ),
-        span="pipeline.segment",
-        span_attrs=lambda ctx: {"method": ctx["method"]},
-        result_attrs=lambda segmentation, ctx: {
-            "records": len(segmentation.records)
-        },
-        counters=lambda segmentation, ctx: (
-            ("pipeline.records", len(segmentation.records)),
-        ),
-        degradations=(
-            # Nothing to segment at all.
-            Degradation(
-                condition=lambda ctx: not ctx["observations"].observations,
-                fallback=lambda error, ctx: _empty_segmentation(
-                    ctx, empty_problem=True
-                ),
-            ),
-            # Segmenters may decide the problem is empty on criteria
-            # stricter than "no observations" (e.g. every observation
-            # filtered as unusable); degrade to an empty result.
-            Degradation(
-                exceptions=(EmptyProblemError,),
-                fallback=lambda error, ctx: _empty_segmentation(
-                    ctx, empty_problem=True
-                ),
-            ),
-            # A page the method cannot segment (degenerate lattice from
-            # an incomplete crawl, constraints unsatisfiable at every
-            # relaxation level) is reported as a page of unsegmented
-            # records — the paper's FN rows — not a crashed site run.
-            Degradation(
-                exceptions=(InferenceError, CspError),
-                fallback=lambda error, ctx: _empty_segmentation(
-                    ctx, segmenter_error=str(error)
-                ),
-            ),
-        ),
-    )
-    return StageGraph(
-        (tokenize, detail_fields, template, extracts, observations, segment)
-    )
-
-
-#: The shared stage graph every driver executes through: the pipeline
-#: itself, the batch runner's workers (``tokenize`` behind each page's
-#: token source, ``detail_fields`` for store column names), the online
-#: service's fallback path, and the experiment sweeps.
-PIPELINE_GRAPH = _build_pipeline_graph()
+def _put(cache: Any, stage: str, key: str | None, value: Any) -> Any:
+    """Store a computed value when there is a cache; return what to use."""
+    return value if cache is None else cache.put(stage, key, value)
 
 
 def _cached_tokens(cache: Any, page: Page) -> list[Token]:
-    ctx = StageContext({"page": page})
-    PIPELINE_GRAPH.run(ctx, targets=("tokenize",), cache=cache)
-    return ctx["tokenize"]
+    key = stage_key("tokenize", [], page.html)
+    tokens = _get(cache, "tokenize", key)
+    if tokens is None:
+        tokens = cache.put("tokenize", key, tokenize_html(page.html))
+    return tokens
 
 
 def bind_token_cache(pages: Iterable[Page], cache: Any) -> None:
@@ -414,40 +257,173 @@ class SegmentationPipeline:
     def detail_fields(self, details: list[Page]) -> dict[int, dict[str, str]]:
         """One list page's detail pages as ``{record: {label: value}}``.
 
-        Runs the ``detail_fields`` stage, through the pipeline's stage
-        cache when it has one.
+        The ``detail_fields`` stage, through the pipeline's stage cache
+        when it has one.
         """
-        ctx = StageContext({"details": details, "config": self.config})
-        PIPELINE_GRAPH.run(
-            ctx, targets=("detail_fields",), obs=self.obs, cache=self.cache
-        )
-        return ctx["detail_fields"]
+        # Imported on use: only store-bound runs name columns, so the
+        # relational layer stays out of worker start-up.
+        from repro.relational.detail_fields import detail_field_pairs
 
-    def _site_context(
-        self, list_pages: list[Page], crawl_health: CrawlHealth | None
-    ) -> StageContext:
-        """The site-scope stage context (see the graph's docstring)."""
-        return StageContext(
-            {
-                "list_pages": list_pages,
-                "list_htmls": [page.html for page in list_pages],
-                "config": self.config,
-                "method": self.method,
-                "method_config": self._method_config(),
-                "finder": self._finder,
-                "make_segmenter": self._make_segmenter,
-                # Site-scoped intern table: every list page's
-                # observation build shares one id space and one set of
-                # page reductions (detail pages double as other-list
-                # context across pages of the same site).
-                "token_table": self.config.match.make_table(),
-                # The pipeline's bundle, for stages whose compute books
-                # counters directly (the CLI threads obs explicitly and
-                # never installs a global bundle).
-                "obs": self.obs,
-            },
-            health=crawl_health,
-        )
+        punct = self.config.allowed_punct
+        key = None
+        if self.cache is not None:
+            key = stage_key(
+                "detail_fields", [], [page.html for page in details], punct
+            )
+        fields = _get(self.cache, "detail_fields", key)
+        if fields is None:
+            fields = _put(
+                self.cache,
+                "detail_fields",
+                key,
+                detail_field_pairs(details, punct),
+            )
+        return fields
+
+    def _template(
+        self, list_pages: list[Page], health: CrawlHealth | None, cache: Any
+    ) -> tuple[str | None, TemplateVerdict, list[TableRegion]]:
+        """The site's template key, verdict and table regions.
+
+        The regions are resolved inside the ``pipeline.template`` span;
+        the key is None without a cache.
+        """
+        key = None
+        if cache is not None:
+            key = stage_key(
+                "template",
+                [],
+                [page.html for page in list_pages],
+                self.config.template,
+            )
+        verdict = _get(cache, "template", key)
+        with self.obs.span("pipeline.template", pages=len(list_pages)) as span:
+            if verdict is None:
+                if len(list_pages) == 1:
+                    # A single-page sample (the rest quarantined by the
+                    # crawl) skips induction entirely: it needs two pages.
+                    _book(health, "single_list_page")
+                    verdict = _failed_verdict(
+                        "only one list page survived the crawl; template "
+                        "induction needs two",
+                        page_count=1,
+                    )
+                else:
+                    try:
+                        verdict = self._finder.find(list_pages)
+                    except (TemplateNotFoundError, InsufficientPagesError) as error:
+                        # A raised template failure becomes the paper's
+                        # Section 6.2 whole-page fallback.
+                        _book(health, "whole_page_template")
+                        verdict = _failed_verdict(
+                            str(error), page_count=len(list_pages)
+                        )
+                verdict = _put(cache, "template", key, verdict)
+            span.attributes["ok"] = verdict.ok
+            if not verdict.ok:
+                span.attributes["reason"] = verdict.reason
+            regions = resolve_table_regions(list_pages, verdict)
+        return key, verdict, regions
+
+    def _segment(self, table: ObservationTable) -> Segmentation:
+        """Segment ``table``; an unsegmentable page gets no records.
+
+        A page with nothing to segment, or one the method cannot
+        segment (degenerate lattice from an incomplete crawl,
+        constraints unsatisfiable at every relaxation level), is
+        reported as a page of unsegmented records — the paper's FN
+        rows — with the reason in ``meta``, not a crashed site run.
+        """
+        try:
+            if not table.observations:
+                raise EmptyProblemError("no observations")
+            return self._make_segmenter().segment(table)
+        except EmptyProblemError:
+            # Segmenters may also judge a problem empty on stricter
+            # criteria (e.g. every observation filtered as unusable).
+            meta: dict[str, Any] = {"empty_problem": True}
+        except (InferenceError, CspError) as error:
+            meta = {"segmenter_error": str(error)}
+        return Segmentation(method=self.method, records=[], table=table, meta=meta)
+
+    def _page_segmentation(
+        self,
+        cache: Any,
+        template_key: str | None,
+        index: int,
+        region: TableRegion,
+        list_pages: list[Page],
+        details: list[Page],
+        token_table: TokenTable,
+    ) -> Segmentation:
+        """One list page's ``extracts → observations → segment`` chain.
+
+        With a cache, ``segment`` is looked up first, and a stage
+        upstream of it is read (or computed) only when the stage below
+        it missed.  Each stage that runs or hits opens its span and
+        books its counter.
+        """
+        obs = self.obs
+        extracts_key = observations_key = segment_key = None
+        if cache is not None:
+            extracts_key = stage_key(
+                "extracts", [template_key], index, self.config.allowed_punct
+            )
+            observations_key = stage_key(
+                "observations",
+                [extracts_key],
+                [page.html for page in details],
+                self.config.match,
+            )
+            segment_key = stage_key(
+                "segment", [observations_key], self.method, self._method_config()
+            )
+        segmentation = _get(cache, "segment", segment_key)
+        if segmentation is None:
+            table = _get(cache, "observations", observations_key)
+            if table is None:
+                extracts = _get(cache, "extracts", extracts_key)
+                with obs.span("pipeline.extracts") as span:
+                    if extracts is None:
+                        extracts = _put(
+                            cache,
+                            "extracts",
+                            extracts_key,
+                            extract_strings(region, self.config.allowed_punct),
+                        )
+                    span.attributes["count"] = len(extracts)
+                obs.counter("pipeline.extracts").inc(len(extracts))
+            with obs.span(
+                "pipeline.observations", detail_pages=len(details)
+            ) as span:
+                if table is None:
+                    table = _put(
+                        cache,
+                        "observations",
+                        observations_key,
+                        ObservationTable.build(
+                            extracts,
+                            details,
+                            other_list_pages=[
+                                page
+                                for position, page in enumerate(list_pages)
+                                if position != index
+                            ],
+                            options=self.config.match,
+                            token_table=token_table,
+                            obs=obs,
+                        ),
+                    )
+                span.attributes["observations"] = len(table.observations)
+            obs.counter("pipeline.observations").inc(len(table.observations))
+        with obs.span("pipeline.segment", method=self.method) as span:
+            if segmentation is None:
+                segmentation = _put(
+                    cache, "segment", segment_key, self._segment(table)
+                )
+            span.attributes["records"] = len(segmentation.records)
+        obs.counter("pipeline.records").inc(len(segmentation.records))
+        return segmentation
 
     def segment_site(
         self,
@@ -475,8 +451,7 @@ class SegmentationPipeline:
                 f"({len(list_pages)} vs {len(detail_pages_per_list)})"
             )
         if not list_pages:
-            if crawl_health is not None:
-                crawl_health.fallbacks.append("empty_sample")
+            _book(crawl_health, "empty_sample")
             return SiteRun(
                 method=self.method,
                 template_verdict=_failed_verdict(
@@ -489,41 +464,39 @@ class SegmentationPipeline:
         # Caching engages only for pristine samples: degraded crawls
         # must run their health/fallback bookkeeping for real.
         cache = self.cache if crawl_health is None else None
-        site_ctx = self._site_context(list_pages, crawl_health)
+        # Site-scoped intern table: every list page's observation build
+        # shares one id space and one set of page reductions (detail
+        # pages double as other-list context across pages of the same
+        # site).
+        token_table = self.config.match.make_table()
         with obs.span(
             "pipeline.segment_site",
             method=self.method,
             list_pages=len(list_pages),
         ) as site_span:
-            PIPELINE_GRAPH.run(
-                site_ctx, targets=("template",), obs=obs, cache=cache
+            template_key, verdict, regions = self._template(
+                list_pages, crawl_health, cache
             )
-            verdict = site_ctx["template"]
             run = SiteRun(
                 method=self.method,
                 template_verdict=verdict,
                 crawl_health=crawl_health,
             )
 
-            for index, region in enumerate(site_ctx["regions"]):
+            for index, region in enumerate(regions):
                 with obs.span(
                     "pipeline.page", index=index, url=region.page.url
                 ) as page_span:
                     started = obs.clock.now()
-                    page_ctx = site_ctx.child(
-                        index=index,
-                        region=region,
-                        details=detail_pages_per_list[index],
-                        other_lists=[
-                            page
-                            for position, page in enumerate(list_pages)
-                            if position != index
-                        ],
+                    segmentation = self._page_segmentation(
+                        cache,
+                        template_key,
+                        index,
+                        region,
+                        list_pages,
+                        detail_pages_per_list[index],
+                        token_table,
                     )
-                    PIPELINE_GRAPH.run(
-                        page_ctx, targets=("segment",), obs=obs, cache=cache
-                    )
-                    segmentation = page_ctx["segment"]
                     segmentation.meta.setdefault("template_ok", verdict.ok)
                     segmentation.meta.setdefault("whole_page", region.whole_page)
                     if crawl_health is not None:

@@ -34,6 +34,7 @@ import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro._atomic import write_atomic
 from repro.ingest.classify import (
     DETAIL,
     LIST,
@@ -566,9 +567,8 @@ def _write_generation(
             bundle.detail_pages_per_list,
         )
     manifest_path = out_dir / INGEST_MANIFEST_NAME
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-        newline="\n",
+    write_atomic(
+        manifest_path,
+        (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"),
     )
     return manifest_path

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from repro._atomic import write_atomic
 from repro.crawl.resilient import CrawlBudget, CrawlHealth, ResilientFetcher
 from repro.ingest.bundle import page_fingerprint
 from repro.obs import Observability, current
@@ -155,10 +156,9 @@ def write_snapshot(crawl: FetchedCrawl, directory: str | Path) -> Path:
         "crawl_health": crawl.health.as_dict(),
     }
     manifest_path = directory / CRAWL_SNAPSHOT_NAME
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-        newline="\n",
+    write_atomic(
+        manifest_path,
+        (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"),
     )
     return manifest_path
 

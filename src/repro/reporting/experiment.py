@@ -45,8 +45,8 @@ def run_site(
     """Run one method over one generated site; one row per list page.
 
     Args:
-        cache: optional stage cache (disk or memory) the pipeline's
-            stage graph consults; pass the same instance across
+        cache: optional stage cache (disk or memory) the pipeline
+            consults; pass the same instance across
             methods to reuse method-independent upstream stages.
     """
     pipeline = SegmentationPipeline(method, config, cache=cache)

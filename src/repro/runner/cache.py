@@ -8,9 +8,9 @@ a SHA-256 key of exactly those inputs: re-running a corpus, or
 sweeping a downstream parameter, hits the cache for every stage whose
 inputs did not change instead of recomputing it.
 
-The stage graph computes the keys
-(:meth:`repro.core.stages.StageGraph.key`, hashed with the
-:func:`fingerprint` this module re-exports) and calls
+The pipeline runs its stages directly and computes their keys with
+:func:`repro.core.stages.stage_key` (hashed with the
+:func:`fingerprint` this module re-exports), then calls
 :meth:`StageCache.get` and :meth:`StageCache.put`.
 
 Storage layout and integrity::
@@ -18,11 +18,12 @@ Storage layout and integrity::
     <root>/<stage>/<key[:2]>/<key>.bin
     entry = sha256(payload) || payload        (payload = pickle)
 
-Entries are written atomically (temp file + ``os.replace``) so a
-killed run never leaves a torn entry, and verified on read: a
-checksum mismatch or unpickle failure is counted as *corrupt*, the
-entry is discarded, and the value is recomputed and rewritten — a
-damaged cache degrades to a cold one, it is never trusted.
+Entries are written atomically (:func:`repro._atomic.write_atomic`:
+temp file + ``os.replace``) so a killed run never leaves a torn
+entry, and verified on read: a checksum mismatch or unpickle failure
+is counted as *corrupt*, the entry is discarded, and the value is
+recomputed and rewritten — a damaged cache degrades to a cold one, it
+is never trusted.
 
 A cache may also be *size-bounded* (``max_bytes``): every verified hit
 bumps its entry's mtime, and every store prunes least-recently-used
@@ -38,11 +39,11 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro._atomic import write_atomic
 from repro.core.stages import fingerprint
 from repro.obs import NULL_OBS, Observability
 
@@ -128,20 +129,7 @@ class StageCache:
         path = self._path(stage, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        blob = hashlib.sha256(payload).digest() + payload
-        handle = tempfile.NamedTemporaryFile(
-            dir=path.parent, prefix=".tmp-", delete=False
-        )
-        try:
-            with handle:
-                handle.write(blob)
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, hashlib.sha256(payload).digest() + payload)
         if self.max_bytes is not None:
             self._prune(keep=path)
 

@@ -11,10 +11,10 @@ task kind, and reduces the pipeline's output to a picklable
 registry's snapshot, which the engine merges into the parent's
 metrics so a parallel run profiles exactly like a serial one.
 
-Workers execute stages through the shared stage graph
-(:data:`repro.core.pipeline.PIPELINE_GRAPH`), which loads a stage's
-dependencies only when the stage misses the cache.  Every page is
-bound to the ``tokenize`` stage
+Workers run the pipeline (:mod:`repro.core.pipeline`), which runs
+its stages directly, keyed by :func:`~repro.core.stages.stage_key`,
+and reads a stage's upstream entries only when the stage misses the
+cache.  Every page is bound to the ``tokenize`` stage
 (:func:`~repro.core.pipeline.bind_token_cache`), and store-bound runs
 (``collect_wire``) take their column names from the ``detail_fields``
 stage.  A warm site therefore reads one ``template`` entry, then one

@@ -174,7 +174,9 @@ def pages_from_payload(payload: Any) -> tuple[str, list[Page], list[list[Page]]]
     Returns ``(site_id, list_pages, detail_pages_per_list)``.
 
     Raises:
-        PayloadError: the payload does not match the schema.
+        PayloadError: the payload does not match the schema, or two
+            list pages share a URL (after ``{site}-list{index}.html``
+            defaults are applied).
     """
     if not isinstance(payload, dict):
         raise PayloadError("payload must be a JSON object")
@@ -192,8 +194,11 @@ def pages_from_payload(payload: Any) -> tuple[str, list[Page], list[list[Page]]]
         html = entry["list"]
         if not isinstance(html, str):
             raise PayloadError(f"pages[{index}].list must be a string")
-        url = entry.get("url") or f"{site}-list{index}.html"
-        list_pages.append(Page(url=str(url), html=html, kind="list"))
+        url = str(entry.get("url") or f"{site}-list{index}.html")
+        if any(page.url == url for page in list_pages):
+            # The store keys a site's cells by page URL.
+            raise PayloadError(f"pages[{index}].url {url!r} is not unique")
+        list_pages.append(Page(url=url, html=html, kind="list"))
         entry_details = entry.get("details", [])
         if not isinstance(entry_details, list) or not all(
             isinstance(page, str) for page in entry_details

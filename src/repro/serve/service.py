@@ -31,8 +31,7 @@ site — the end-to-end acceptance check.
 :meth:`SegmentationService._segment` calls three steps directly,
 top to bottom, each inside its own span: ``serve.apply`` (wrap every
 list page and score drift), ``serve.pipeline`` (the full pipeline,
-which nests the :data:`~repro.core.pipeline.PIPELINE_GRAPH`
-``pipeline.*`` spans) and ``serve.induce`` (learn a wrapper from the
+which runs its stages directly and nests their ``pipeline.*`` spans) and ``serve.induce`` (learn a wrapper from the
 first page with records; skipped when there is none).  Only the warm
 apply books an outcome (``serve.wrapper_hits`` or
 ``serve.fallbacks``); the apply that follows an induction books none.

@@ -47,6 +47,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro._atomic import write_atomic
 from repro.sitegen.domains.corrections import (
     _corrections_extras,
     _inmate_schema,
@@ -595,8 +596,8 @@ def write_crawl(corpus: MixedCorpus, directory: str | Path) -> Path:
         ],
     }
     manifest_path = directory / CRAWL_MANIFEST_NAME
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8", newline="\n"
+    write_atomic(
+        manifest_path, (json.dumps(manifest, indent=2) + "\n").encode("utf-8")
     )
     return manifest_path
 

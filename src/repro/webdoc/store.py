@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro._atomic import write_atomic
 from repro.core.exceptions import ReproError
 from repro.webdoc.page import Page
 
@@ -83,9 +84,7 @@ def save_sample(
             }
         )
     manifest_path = directory / MANIFEST_NAME
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2), encoding="utf-8"
-    )
+    write_atomic(manifest_path, json.dumps(manifest, indent=2).encode("utf-8"))
     return manifest_path
 
 

@@ -11,6 +11,7 @@ cached wrappers for stale sites provably gone).
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -30,7 +31,7 @@ from repro.ingest import (
     write_reingest,
     write_snapshot,
 )
-from repro.ingest.bundle import SiteBundle, _write_generation
+from repro.ingest.bundle import INGEST_MANIFEST_NAME, SiteBundle, _write_generation
 from repro.lifecycle import invalidate_consumers
 from repro.obs import Observability
 from repro.sitegen.corpus import build_site
@@ -346,6 +347,47 @@ class TestBundleDirectoryGenerations:
         assert listed
         on_disk = {path.parent.name for path in out.glob("*/sample.json")}
         assert on_disk == listed
+
+    def test_failed_manifest_write_keeps_the_previous_manifest(
+        self, tmp_path, monkeypatch
+    ):
+        # The manifest is replaced in one rename: a write that fails
+        # leaves the previous manifest whole, so the next full ingest
+        # still knows which bundles to remove.
+        out = tmp_path / "bundles"
+        big = build_mixed_corpus(MixedCorpusSpec(sites=8, seed=3))
+        manifest = write_bundles(ingest_pages(big.pages), out)
+        previous = manifest.read_bytes()
+        old_bundles = {
+            entry["name"] for entry in json.loads(previous)["bundles"]
+        }
+        small = ingest_pages(
+            build_mixed_corpus(MixedCorpusSpec(sites=3, seed=4)).pages
+        )
+        replace = os.replace
+
+        def failing_replace(source, target):
+            if os.path.basename(target) == INGEST_MANIFEST_NAME:
+                raise OSError("disk went away")
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk went away"):
+            write_bundles(small, out)
+        assert manifest.read_bytes() == previous
+        assert list(out.rglob(".tmp-*")) == []
+
+        monkeypatch.setattr(os, "replace", replace)
+        write_bundles(small, out)
+        listed = {
+            entry["name"]
+            for entry in json.loads(manifest.read_text(encoding="utf-8"))[
+                "bundles"
+            ]
+        }
+        on_disk = {path.parent.name for path in out.glob("*/sample.json")}
+        assert on_disk == listed
+        assert old_bundles - listed and not (old_bundles - listed) & on_disk
 
     def test_reingest_never_removes_outside_out(self, tmp_path):
         # A stale bundle name read from the previous manifest is only

@@ -465,6 +465,39 @@ class TestServePath:
         assert answer["row_count"] > 0
         assert answer["rows"][0]["page"].startswith("ohio-")
 
+    @pytest.mark.parametrize(
+        "urls, status", [(("same.html", "same.html"), 400), (("a.html", "b.html"), 200)]
+    )
+    def test_list_page_urls_must_be_unique(
+        self, tmp_path, ohio_payload, urls, status
+    ):
+        from repro.serve import SegmentationService, ServeError, ServiceConfig
+
+        service = SegmentationService(
+            ServiceConfig(method="prob", store_path=str(tmp_path / "u.db"))
+        )
+        payload = dict(
+            ohio_payload,
+            pages=[
+                dict(page, url=url)
+                for page, url in zip(ohio_payload["pages"], urls)
+            ],
+        )
+        if status == 400:
+            with pytest.raises(ServeError) as excinfo:
+                service.segment(payload)
+            assert excinfo.value.status == 400
+            assert service.store.counts() == dict.fromkeys(
+                ("sites", "attributes", "site_columns", "cells"), 0
+            )
+            return
+        response = service.segment(payload)
+        assert response["record_count"] > 0
+        assert service.store.counts()["cells"] > 0
+        assert {
+            row[0] for row in service.store.execute("SELECT page_url FROM cells")
+        } == set(urls)
+
     def test_warm_path_reingest_is_noop(self, tmp_path, ohio_payload):
         from repro.serve import SegmentationService, ServiceConfig
 

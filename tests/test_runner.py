@@ -16,8 +16,7 @@ import pytest
 import repro
 import repro.relational.detail_fields
 from repro.cli import main
-from repro.core.pipeline import PIPELINE_GRAPH
-from repro.core.stages import StageContext
+from repro.core.stages import stage_key
 from repro.ingest import ingest_pages, write_bundles
 from repro.obs import Observability
 from repro.runner import (
@@ -301,7 +300,7 @@ class TestWarmReadDiscipline:
         cache = StageCache(cache_dir)
         samples = [load_sample(task.spec) for task in tasks]
         detail_keys = [
-            PIPELINE_GRAPH.key("tokenize", StageContext({"page": page}))
+            stage_key("tokenize", [], page.html)
             for sample in samples
             for group in sample.detail_pages_per_list
             for page in group

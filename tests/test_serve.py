@@ -85,6 +85,18 @@ class TestPayloadParsing:
             {"site": "x", "pages": [{"details": []}]},
             {"site": "x", "pages": [{"list": 7}]},
             {"site": "x", "pages": [{"list": "<html>", "details": [3]}]},
+            # List-page URLs must be unique, defaults included.
+            {
+                "site": "x",
+                "pages": [
+                    {"list": "<html>", "url": "same.html"},
+                    {"list": "<html>", "url": "same.html"},
+                ],
+            },
+            {
+                "site": "x",
+                "pages": [{"list": "<html>", "url": "x-list1.html"}, {"list": "<html>"}],
+            },
         ],
     )
     def test_malformed_payloads_rejected(self, payload):

@@ -311,7 +311,10 @@ def test_watchdog_converts_hung_request_to_504(server_factory):
     hung = client.sleep(30.0)
     assert hung.status == 504
     metrics = server.service.metrics
+    # The watchdog books the hung request, then starts the replacement
+    # thread and books it: wait for both steps before asserting.
     wait_for(lambda: metrics.counter("serve.watchdog.hung_requests").value >= 1)
+    wait_for(lambda: metrics.counter("serve.watchdog.replacements").value >= 1)
     assert metrics.counter("serve.watchdog.hung_requests").value >= 1
     assert metrics.counter("serve.watchdog.replacements").value >= 1
     # The replacement thread restored capacity: a fresh request works

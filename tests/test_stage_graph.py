@@ -1,39 +1,34 @@
-"""Tests for the declarative stage graph (core/stages.py).
+"""Tests for the pipeline's stages (core/pipeline.py, core/stages.py).
 
 Three layers:
 
-* unit tests of the generic contract (context layering, toposort,
-  entry points, lazy dependency resolution, degradation ladders);
+* the stage chain as the pipeline runs it: which cache entries a cold,
+  warm or re-keyed run reads, and in what order;
 * the *Merkle key* tests: a golden digest per stage over fixed tiny
   inputs pins the on-disk entry names, and changing one input changes
-  exactly the keys of the stages downstream of it;
-* the degradation ladder as data: every rung of the pipeline's
-  template/segment ladders produces the same meta and health
-  fallbacks the hand-written ladders did.
+  exactly the keys of the stages downstream of it.  Every key is the
+  one the pipeline passes to ``cache.get``, seen through a recording
+  cache;
+* the degradation ladder: every fallback of the template and segment
+  steps produces the meta and health fallbacks it always did.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+import repro.core.pipeline
 from repro.core.config import PipelineConfig
 from repro.core.exceptions import (
     CspError,
     EmptyProblemError,
+    InferenceError,
     TemplateNotFoundError,
 )
-from repro.core.pipeline import (
-    PIPELINE_GRAPH,
-    SegmentationPipeline,
-    bind_token_cache,
-)
-from repro.core.stages import (
-    CACHE_SCHEMA,
-    Degradation,
-    Stage,
-    StageContext,
-    StageGraph,
-)
+from repro.core.pipeline import SegmentationPipeline, bind_token_cache
+from repro.core.stages import CACHE_SCHEMA, stage_key
 from repro.crawl.resilient import CrawlHealth
 from repro.csp.segmenter import CspConfig
 from repro.extraction.matching import MatchOptions
@@ -41,249 +36,187 @@ from repro.obs import ManualClock, Observability
 from repro.relational.detail_fields import detail_field_pairs
 from repro.runner.cache import MemoryStageCache, StageCache, fingerprint
 from repro.sitegen.corpus import build_site
+from repro.template.finder import TemplateFinder
 from repro.webdoc.page import Page
 
 
-class TestStageContext:
-    def test_child_resolves_through_parent(self):
-        parent = StageContext({"a": 1})
-        child = parent.child(b=2)
-        assert child["a"] == 1 and child["b"] == 2
-        assert "a" in child and "b" in child and "c" not in child
-        assert child.get("c", 9) == 9
-        with pytest.raises(KeyError):
-            child["c"]
+class RecordingCache:
+    """A stage cache that records every lookup made through it.
 
-    def test_set_binds_in_own_layer_only(self):
-        parent = StageContext({"a": 1})
-        child = parent.child()
-        child.set("a", 2)
-        assert child["a"] == 2 and parent["a"] == 1
+    ``reads`` lists ``(stage, key, found)`` in call order; entries live
+    in ``inner``, which several recorders may share.
+    """
 
-    def test_health_inherited(self):
-        health = CrawlHealth()
-        parent = StageContext({}, health=health)
-        assert parent.child().health is health
+    def __init__(self, inner: MemoryStageCache | None = None) -> None:
+        self.inner = inner if inner is not None else MemoryStageCache()
+        self.reads: list[tuple[str, str, bool]] = []
+
+    def get(self, stage: str, key: str):
+        found, value = self.inner.get(stage, key)
+        self.reads.append((stage, key, found))
+        return found, value
+
+    def put(self, stage: str, key: str, value):
+        return self.inner.put(stage, key, value)
+
+    def lookups(self) -> list[tuple[str, bool]]:
+        return [(stage, found) for stage, _, found in self.reads]
 
 
-class TestStageGraphStructure:
-    def test_duplicate_name_rejected(self):
-        stage = Stage(name="s", compute=lambda ctx: 1)
-        with pytest.raises(ValueError, match="duplicate"):
-            StageGraph((stage, stage))
+class _Raising:
+    def __init__(self, error):
+        self.error = error
 
-    def test_unknown_dep_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            StageGraph((Stage(name="s", compute=lambda ctx: 1, deps=("x",)),))
+    def segment(self, table):
+        raise self.error
 
-    def test_cycle_rejected(self):
-        with pytest.raises(ValueError, match="cycle"):
-            StageGraph(
-                (
-                    Stage(name="a", compute=lambda ctx: 1, deps=("b",)),
-                    Stage(name="b", compute=lambda ctx: 1, deps=("a",)),
-                )
-            )
 
-    def test_unknown_target_rejected(self):
-        graph = StageGraph((Stage(name="a", compute=lambda ctx: 1),))
-        with pytest.raises(ValueError, match="unknown stage"):
-            graph.run(StageContext(), targets=("nope",))
+def _lee():
+    site = build_site("lee")
+    return site, [site.detail_pages(i) for i in range(len(site.list_pages))]
 
-    def test_runs_dependency_closure_in_order(self):
-        ran: list[str] = []
 
-        def compute(name):
-            return lambda ctx: ran.append(name) or name
+class TestStageChain:
+    """The order and extent of the cache reads the pipeline makes."""
 
-        graph = StageGraph(
-            (
-                Stage(name="c", compute=compute("c"), deps=("b",)),
-                Stage(name="a", compute=compute("a")),
-                Stage(name="b", compute=compute("b"), deps=("a",)),
-                Stage(name="other", compute=compute("other")),
-            )
-        )
-        ctx = graph.run(StageContext(), targets=("c",))
-        assert ran == ["a", "b", "c"]  # closure only, dependency order
-        assert ctx["c"] == "c"
-
-    def test_already_bound_stage_not_rerun(self):
-        ran: list[str] = []
-        graph = StageGraph(
-            (
-                Stage(name="a", compute=lambda ctx: ran.append("a") or 1),
-                Stage(
-                    name="b",
-                    compute=lambda ctx: ran.append("b") or ctx["a"] + 1,
-                    deps=("a",),
-                ),
-            )
-        )
-        site = StageContext()
-        graph.run(site, targets=("a",))
-        page = site.child()
-        graph.run(page, targets=("b",))
-        assert ran == ["a", "b"]  # "a" computed once, shared via parent
-        assert page["b"] == 2
-
-    def test_key_material_requires_declared_key(self):
-        graph = StageGraph((Stage(name="a", compute=lambda ctx: 1),))
-        with pytest.raises(ValueError, match="no cache key"):
-            graph.key("a", StageContext())
-
-    def test_hit_resolves_no_dependency(self):
-        ran: list[str] = []
-
-        def stage(name, deps=()):
-            return Stage(
-                name=name,
-                deps=deps,
-                key=lambda ctx: (),
-                compute=lambda ctx: ran.append(name) or name,
-                span=f"s.{name}",
-                counters=lambda value, ctx: ((f"n.{name}", 1),),
-            )
-
-        graph = StageGraph(
-            (stage("a"), stage("b", ("a",)), stage("c", ("b",)))
-        )
-        cache = MemoryStageCache()
-        graph.run(StageContext(), targets=("c",), cache=cache)
-        assert ran == ["a", "b", "c"]
-        assert (cache.stats.hits, cache.stats.misses) == (0, 3)
-
+    def test_cold_page_runs_its_chain_in_order(self):
+        site, details = _lee()
+        cache = RecordingCache()
         obs = Observability(clock=ManualClock(tick=1.0))
-        warm = graph.run(StageContext(), targets=("c",), obs=obs, cache=cache)
-        assert ran == ["a", "b", "c"] and warm["c"] == "c"
-        assert "a" not in warm and "b" not in warm  # nothing upstream read
-        assert (cache.stats.hits, cache.stats.misses) == (1, 3)
-        assert [span.name for span in obs.tracer.roots] == ["s.c"]
-        assert obs.metrics.as_dict()["counters"] == {"n.c": 1}
+        SegmentationPipeline("csp", obs=obs, cache=cache).segment_site(
+            site.list_pages, details
+        )
+        # ``segment`` is looked up first; each miss reads one stage up.
+        page_reads = [("segment", False), ("observations", False), ("extracts", False)]
+        assert cache.lookups() == [("template", False)] + page_reads * len(
+            site.list_pages
+        )
+        for page_span in obs.tracer.find("pipeline.page"):
+            assert [child.name for child in page_span.children] == [
+                "pipeline.extracts",
+                "pipeline.observations",
+                "pipeline.segment",
+            ]
 
-    def test_miss_loads_only_the_dependencies_it_needs(self):
-        ran: list[str] = []
-        graph = StageGraph(
-            (
-                Stage(
-                    name="a",
-                    key=lambda ctx: (),
-                    compute=lambda ctx: ran.append("a") or 1,
-                ),
-                Stage(
-                    name="b",
-                    deps=("a",),
-                    key=lambda ctx: (ctx["knob"],),
-                    compute=lambda ctx: ran.append("b") or ctx["a"] + ctx["knob"],
-                ),
-            )
+    def test_method_change_reads_only_what_missed(self):
+        site, details = _lee()
+        entries = MemoryStageCache()
+        SegmentationPipeline("csp", cache=entries).segment_site(
+            site.list_pages, details
         )
-        cache = MemoryStageCache()
-        graph.run(StageContext({"knob": 1}), targets=("b",), cache=cache)
-        tweaked = graph.run(
-            StageContext({"knob": 2}), targets=("b",), cache=cache
+        cache = RecordingCache(entries)
+        SegmentationPipeline("prob", cache=cache).segment_site(
+            site.list_pages, details
         )
-        # "b" missed under the new knob and read "a" from the cache.
-        assert ran == ["a", "b", "b"] and tweaked["b"] == 3
-        assert (cache.stats.hits, cache.stats.misses) == (1, 3)
+        # The method is part of the segment key only: the prob run's
+        # segment misses and reads the csp run's observations; no
+        # extracts entry is read.
+        assert cache.lookups() == [("template", True)] + [
+            ("segment", False),
+            ("observations", True),
+        ] * len(site.list_pages)
+
+    def test_template_found_once_per_site(self, monkeypatch):
+        site, details = _lee()
+        calls: list[int] = []
+        find = TemplateFinder.find
+
+        def counted_find(self, pages):
+            calls.append(len(pages))
+            return find(self, pages)
+
+        monkeypatch.setattr(TemplateFinder, "find", counted_find)
+        pipeline = SegmentationPipeline("csp")
+        pipeline.segment_site(site.list_pages, details)
+        assert calls == [len(site.list_pages)]
+        pipeline.segment_site(site.list_pages, details)
+        assert calls == [len(site.list_pages)] * 2
 
 
 class TestDegradationLadder:
-    def _graph(self, degradations, compute=None):
-        return StageGraph(
-            (
-                Stage(
-                    name="s",
-                    compute=compute or (lambda ctx: "computed"),
-                    degradations=tuple(degradations),
-                ),
-            )
-        )
+    """The template and segment fallbacks, seen from ``segment_site``."""
 
-    def test_condition_preempts_compute(self):
-        graph = self._graph(
-            [
-                Degradation(
-                    condition=lambda ctx: True,
-                    fallback=lambda error, ctx: "degraded",
-                    label="rung",
-                )
-            ],
-            compute=lambda ctx: pytest.fail("must not compute"),
+    def test_condition_preempts_compute(self, monkeypatch):
+        # A single list page never reaches template induction.
+        site, details = _lee()
+        monkeypatch.setattr(
+            TemplateFinder,
+            "find",
+            lambda self, pages: pytest.fail("must not induce a template"),
         )
         health = CrawlHealth()
-        ctx = StageContext({}, health=health)
-        graph.run(ctx)
-        assert ctx["s"] == "degraded"
-        assert health.fallbacks == ["rung"]
-
-    def test_exception_rungs_match_in_order(self):
-        def boom(ctx):
-            raise EmptyProblemError("nothing")
-
-        graph = self._graph(
-            [
-                Degradation(
-                    exceptions=(CspError,),
-                    fallback=lambda error, ctx: "csp",
-                ),
-                Degradation(
-                    exceptions=(EmptyProblemError,),
-                    fallback=lambda error, ctx: f"empty:{error}",
-                ),
-            ],
-            compute=boom,
+        run = SegmentationPipeline("csp").segment_site(
+            site.list_pages[:1], details[:1], crawl_health=health
         )
-        ctx = graph.run(StageContext())
-        assert ctx["s"] == "empty:nothing"
+        assert not run.template_verdict.ok
+        assert health.fallbacks == ["single_list_page"]
+        cached = SegmentationPipeline("csp", cache=MemoryStageCache())
+        assert not cached.segment_site(
+            site.list_pages[:1], details[:1]
+        ).template_verdict.ok
 
-    def test_unmatched_exception_propagates(self):
-        def boom(ctx):
-            raise RuntimeError("real bug")
+    def test_exception_rungs_match_in_order(self, monkeypatch):
+        site, details = _lee()
+        for method, error, meta in (
+            ("csp", EmptyProblemError("nothing"), {"empty_problem": True}),
+            ("prob", InferenceError("zero mass"), {"segmenter_error": "zero mass"}),
+        ):
+            pipeline = SegmentationPipeline(method)
+            monkeypatch.setattr(
+                pipeline, "_make_segmenter", lambda error=error: _Raising(error)
+            )
+            run = pipeline.segment_site(site.list_pages, details)
+            for page_run in run.pages:
+                assert page_run.segmentation.records == []
+                assert {
+                    name: value
+                    for name, value in page_run.segmentation.meta.items()
+                    if name in ("empty_problem", "segmenter_error")
+                } == meta, method
 
-        graph = self._graph(
-            [Degradation(exceptions=(CspError,), fallback=lambda e, c: "x")],
-            compute=boom,
+    def test_unmatched_exception_propagates(self, monkeypatch):
+        site, details = _lee()
+        pipeline = SegmentationPipeline("csp")
+        monkeypatch.setattr(
+            pipeline, "_make_segmenter", lambda: _Raising(RuntimeError("real bug"))
         )
         with pytest.raises(RuntimeError, match="real bug"):
-            graph.run(StageContext())
+            pipeline.segment_site(site.list_pages, details)
 
-    def test_unlabelled_rung_leaves_health_alone(self):
-        graph = self._graph(
-            [
-                Degradation(
-                    condition=lambda ctx: True,
-                    fallback=lambda error, ctx: None,
-                )
-            ]
-        )
-        health = CrawlHealth()
-        graph.run(StageContext({}, health=health))
-        assert health.fallbacks == []
-
-    def test_degraded_result_is_cached(self):
-        calls: list[int] = []
-
-        graph = StageGraph(
-            (
-                Stage(
-                    name="s",
-                    key=lambda ctx: ("k",),
-                    compute=lambda ctx: calls.append(1) or "computed",
-                    degradations=(
-                        Degradation(
-                            condition=lambda ctx: True,
-                            fallback=lambda error, ctx: "degraded",
-                        ),
-                    ),
-                ),
+    def test_unlabelled_rung_leaves_health_alone(self, monkeypatch):
+        # Segment-level fallbacks annotate the page, not the crawl.
+        site, details = _lee()
+        for error in (EmptyProblemError("nothing"), CspError("unsatisfiable")):
+            pipeline = SegmentationPipeline("csp")
+            monkeypatch.setattr(
+                pipeline, "_make_segmenter", lambda error=error: _Raising(error)
             )
-        )
+            health = CrawlHealth()
+            run = pipeline.segment_site(
+                site.list_pages, details, crawl_health=health
+            )
+            assert all(not page.segmentation.records for page in run.pages)
+            assert health.fallbacks == []
+
+    def test_degraded_result_is_cached(self, monkeypatch):
+        site, details = _lee()
         cache = MemoryStageCache()
-        assert graph.run(StageContext(), cache=cache)["s"] == "degraded"
-        assert graph.run(StageContext(), cache=cache)["s"] == "degraded"
-        assert calls == []
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
+        cold = SegmentationPipeline("csp", cache=cache)
+        monkeypatch.setattr(
+            cold, "_make_segmenter", lambda: _Raising(CspError("unsatisfiable"))
+        )
+        cold_run = cold.segment_site(site.list_pages, details)
+        warm = SegmentationPipeline("csp", cache=cache)
+        monkeypatch.setattr(
+            warm,
+            "_make_segmenter",
+            lambda: pytest.fail("a cached degraded page must not re-segment"),
+        )
+        warm_run = warm.segment_site(site.list_pages, details)
+        for cold_page, warm_page in zip(cold_run.pages, warm_run.pages):
+            assert warm_page.segmentation.records == []
+            assert warm_page.segmentation.meta == cold_page.segmentation.meta
+            assert warm_page.segmentation.meta["segmenter_error"] == "unsatisfiable"
 
 
 def _key_inputs(
@@ -302,25 +235,29 @@ def _key_inputs(
 
 
 def _stage_keys(method, config, list_pages, details):
-    """Each stage's key, in contexts seeded the way the pipeline does.
+    """The key of each stage, as the pipeline passes it to ``cache.get``.
 
-    ``tokenize`` is keyed once per page, by URL.
+    A cold cached run over the site (``details`` for list page 0, none
+    for the others), then one ``detail_fields`` parse of ``details``.
+    The page stages' first reads are list page 0's.  ``tokenize`` is
+    keyed once per page, by URL.
     """
-    site = SegmentationPipeline(method, config)._site_context(
-        list_pages, None
-    )
-    page = site.child(index=0, details=details)
-    keys = {
-        stage: PIPELINE_GRAPH.key(stage, page)
-        for stage in ("template", "extracts", "observations", "segment")
-    }
-    keys["detail_fields"] = PIPELINE_GRAPH.key(
-        "detail_fields", StageContext({"details": details, "config": config})
-    )
-    for each in list_pages[:1] + details:
-        keys[f"tokenize {each.url}"] = PIPELINE_GRAPH.key(
-            "tokenize", StageContext({"page": each})
-        )
+    list_pages = [Page(page.url, page.html) for page in list_pages]
+    details = [Page(page.url, page.html) for page in details]
+    cache = RecordingCache()
+    token_reads = {}
+    for page in list_pages[:1] + details:
+        token_reads[page.url] = RecordingCache(cache.inner)
+        bind_token_cache([page], token_reads[page.url])
+    pipeline = SegmentationPipeline(method, config, cache=cache)
+    pipeline.segment_site(list_pages, [details] + [[]] * (len(list_pages) - 1))
+    pipeline.detail_fields(details)
+    keys: dict[str, str] = {}
+    for stage, key, _ in cache.reads:
+        keys.setdefault(stage, key)
+    for url, recorder in token_reads.items():
+        ((stage, key, _),) = recorder.reads
+        keys[f"{stage} {url}"] = key
     return keys
 
 
@@ -398,55 +335,83 @@ class TestGoldenKeyParity:
             downstream
         ), changed
 
-    def test_key_chains_dependency_keys(self):
+    def test_key_chains_dependency_keys(self, monkeypatch):
         method, config, list_pages, details = _key_inputs()
-        site = SegmentationPipeline(method, config)._site_context(
-            list_pages, None
+        hashed: Counter[str] = Counter()
+
+        def counted_stage_key(name, *args):
+            hashed[name] += 1
+            return stage_key(name, *args)
+
+        monkeypatch.setattr(repro.core.pipeline, "stage_key", counted_stage_key)
+        keys = _stage_keys(method, config, list_pages, details)
+        assert keys["segment"] == fingerprint(
+            "segment", CACHE_SCHEMA, [keys["observations"]], method, config.csp
         )
-        template = PIPELINE_GRAPH.key("template", site)
-        page = site.child(index=0, details=details)
-        assert PIPELINE_GRAPH.key("segment", page) == fingerprint(
-            "segment",
+        assert keys["observations"] == fingerprint(
+            "observations",
             CACHE_SCHEMA,
-            [PIPELINE_GRAPH.key("observations", page)],
-            method,
-            config.csp,
+            [keys["extracts"]],
+            [page.html for page in details],
+            config.match,
         )
-        assert PIPELINE_GRAPH.key("extracts", page) == fingerprint(
-            "extracts", CACHE_SCHEMA, [template], 0, config.allowed_punct
+        assert keys["extracts"] == fingerprint(
+            "extracts", CACHE_SCHEMA, [keys["template"]], 0, config.allowed_punct
         )
-        # Computed once per context: the site's template key is reused.
-        assert page.keys.keys() == {"extracts", "observations", "segment"}
-        assert site.keys.keys() == {"template"}
+        # Each key is hashed once: the template once per site, the
+        # page chain once per list page, tokenize once per bound page.
+        assert hashed == {
+            "template": 1,
+            "extracts": 2,
+            "observations": 2,
+            "segment": 2,
+            "detail_fields": 1,
+            "tokenize": 2,
+        }
+
+    def test_no_key_hashed_without_a_cache(self, monkeypatch, site):
+        hashed: list[tuple] = []
+        monkeypatch.setattr(
+            repro.core.pipeline, "stage_key", lambda *args: hashed.append(args)
+        )
+        pipeline = SegmentationPipeline("csp")
+        pipeline.segment_site(
+            site.list_pages,
+            [site.detail_pages(i) for i in range(len(site.list_pages))],
+        )
+        pipeline.detail_fields(site.detail_pages(0))
+        bind_token_cache(site.list_pages, None)
+        assert hashed == []
 
     def test_detail_fields_key_material_golden(self, site):
         """``detail_fields`` keys on detail-page bytes + punctuation only.
 
-        No dependencies: the entry is shared by every method and every
+        No upstream keys: the entry is shared by every method and every
         template/match/segmenter setting, and the digest below pins the
         on-disk entry name for fixed inputs.
         """
         config = PipelineConfig()
+
+        def read_key(details):
+            cache = RecordingCache()
+            SegmentationPipeline("csp", config, cache=cache).detail_fields(details)
+            ((stage, key, _),) = cache.reads
+            assert stage == "detail_fields"
+            return key
+
         details = site.detail_pages(0)
-        ctx = StageContext({"details": details, "config": config})
-        assert PIPELINE_GRAPH.stage("detail_fields").deps == ()
-        assert PIPELINE_GRAPH.key("detail_fields", ctx) == fingerprint(
+        assert read_key(details) == fingerprint(
             "detail_fields",
             CACHE_SCHEMA,
             [],
             [page.html for page in details],
             config.allowed_punct,
         )
-        fixed = StageContext(
-            {
-                "details": [
-                    Page("r0.html", "<p>Name: Ann</p>"),
-                    Page("r1.html", "<p>Name: Bob</p>"),
-                ],
-                "config": config,
-            }
-        )
-        assert PIPELINE_GRAPH.key("detail_fields", fixed) == (
+        fixed = [
+            Page("r0.html", "<p>Name: Ann</p>"),
+            Page("r1.html", "<p>Name: Bob</p>"),
+        ]
+        assert read_key(fixed) == (
             "b2a972aaff8e5eaf9271e275a72c2c65a95bded4198c6d95db5ecee4d72dd4e7"
         )
 
@@ -512,16 +477,8 @@ class TestTokenBinding:
         assert page._token_source is None
 
 
-class _Raising:
-    def __init__(self, error):
-        self.error = error
-
-    def segment(self, table):
-        raise self.error
-
-
 class TestPipelineLadderAsData:
-    """Satellite: each declared rung matches the hand-written ladder."""
+    """Each fallback's verdict, meta and health bookkeeping."""
 
     @pytest.mark.parametrize("method", ["csp", "prob"])
     def test_single_list_page_skips_induction(self, method):
