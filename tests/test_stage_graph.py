@@ -133,6 +133,55 @@ class TestStageChain:
         assert calls == [len(site.list_pages)] * 2
 
 
+class TestStageGraphStructure:
+    """How far a cache hit on one stage reaches up the chain."""
+
+    def test_hit_resolves_no_dependency(self, monkeypatch):
+        site, details = _lee()
+        entries = MemoryStageCache()
+        cold_run = SegmentationPipeline("csp", cache=entries).segment_site(
+            site.list_pages, details
+        )
+        warm = SegmentationPipeline(
+            "csp",
+            obs=Observability(clock=ManualClock(tick=1.0)),
+            cache=RecordingCache(entries),
+        )
+        # Nothing upstream of a hit is computed.
+        monkeypatch.setattr(
+            TemplateFinder, "find", lambda self, pages: pytest.fail("template")
+        )
+        monkeypatch.setattr(
+            repro.core.pipeline,
+            "extract_strings",
+            lambda *args: pytest.fail("extracts"),
+        )
+        monkeypatch.setattr(
+            repro.core.pipeline.ObservationTable,
+            "build",
+            staticmethod(lambda *args, **kwargs: pytest.fail("observations")),
+        )
+        monkeypatch.setattr(warm, "_make_segmenter", lambda: pytest.fail("segment"))
+        warm_run = warm.segment_site(site.list_pages, details)
+        # Nor is any upstream entry read.
+        assert warm.cache.lookups() == [("template", True)] + [
+            ("segment", True)
+        ] * len(site.list_pages)
+        assert [page.segmentation.records for page in warm_run.pages] == [
+            page.segmentation.records for page in cold_run.pages
+        ]
+        for page_span in warm.obs.tracer.find("pipeline.page"):
+            assert [child.name for child in page_span.children] == [
+                "pipeline.segment"
+            ]
+        counters = warm.obs.metrics.as_dict()["counters"]
+        assert "pipeline.extracts" not in counters
+        assert "pipeline.observations" not in counters
+        assert counters["pipeline.records"] == sum(
+            len(page.segmentation.records) for page in warm_run.pages
+        )
+
+
 class TestDegradationLadder:
     """The template and segment fallbacks, seen from ``segment_site``."""
 
