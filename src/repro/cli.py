@@ -60,10 +60,6 @@ import sys
 from typing import Sequence
 
 from repro.core.config import METHODS
-from repro.core.evaluation import score_page
-from repro.core.pipeline import SegmentationPipeline
-from repro.reporting.experiment import run_corpus
-from repro.reporting.tables import render_table4
 from repro.sitegen.corpus import SITE_BUILDERS, TABLE4_ORDER, build_corpus, build_site
 
 __all__ = ["main", "build_parser"]
@@ -332,9 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DB",
         default=None,
         help=(
-            "incremental mode: sqlite relational store whose rows for "
-            "stale bundles should be removed (cascading, catalog "
-            "recounted)"
+            "sqlite relational store whose rows for replaced, removed "
+            "or stale bundles are dropped (cascading, catalog recounted)"
         ),
     )
     ingest.add_argument(
@@ -342,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help=(
-            "incremental mode: wrapper stage-cache root whose cached "
-            "wrappers for stale bundles should be invalidated"
+            "wrapper stage-cache root whose cached wrappers for "
+            "replaced, removed or stale bundles are invalidated"
         ),
     )
     ingest.add_argument(
@@ -582,6 +577,9 @@ def _cmd_sites(args, out) -> int:
 
 
 def _cmd_segment(args, out) -> int:
+    from repro.core.evaluation import score_page
+    from repro.core.pipeline import SegmentationPipeline
+
     site = build_site(args.site)
     obs = _make_obs(args)
     pipeline = SegmentationPipeline(args.method, obs=obs)
@@ -648,6 +646,9 @@ def _cmd_segment(args, out) -> int:
 
 
 def _cmd_table4(args, out) -> int:
+    from repro.reporting.experiment import run_corpus
+    from repro.reporting.tables import render_table4
+
     result = run_corpus(
         methods=tuple(args.methods),
         workers=args.workers,
@@ -888,8 +889,8 @@ def _ingest_load_pages(args, obs, out):
     return pages, None
 
 
-def _ingest_invalidate(args, stale_bundles, obs, out):
-    """Propagate stale bundles to the store and wrapper cache."""
+def _ingest_invalidate(args, sites, obs, out):
+    """Drop ``sites``' store rows and cached wrappers."""
     from repro.lifecycle import invalidate_consumers
     from repro.store import RelationalStore, StoreError
 
@@ -905,12 +906,10 @@ def _ingest_invalidate(args, stale_bundles, obs, out):
         if args.store:
             with RelationalStore(args.store, obs=obs) as store:
                 report = invalidate_consumers(
-                    stale_bundles, store=store, registry=registry, obs=obs
+                    sites, store=store, registry=registry, obs=obs
                 )
         else:
-            report = invalidate_consumers(
-                stale_bundles, registry=registry, obs=obs
-            )
+            report = invalidate_consumers(sites, registry=registry, obs=obs)
     except StoreError as error:
         print(f"store error: {error}", file=out)
         return {"error": str(error)}
@@ -923,6 +922,7 @@ def _cmd_ingest(args, out) -> int:
 
     from repro.ingest import (
         IngestConfig,
+        bundle_dirs,
         ingest_pages,
         load_previous_manifest,
         reingest_pages,
@@ -947,13 +947,17 @@ def _cmd_ingest(args, out) -> int:
         min_details=args.min_details,
     )
 
+    # Every bundle directory the write replaces or removes is stale
+    # downstream; only bundles carried forward untouched are not.
+    stale = set(bundle_dirs(args.out))
     previous = load_previous_manifest(args.out) if args.incremental else None
     if previous is not None:
         report = reingest_pages(pages, previous, config, obs=run_obs)
         report.crawl_health = crawl_health
         manifest = write_reingest(report, args.out)
         bundle_total = report.bundle_count
-        stale_bundles = list(report.stale_bundles)
+        stale -= {entry["name"] for entry in report.carried} - set(report.rebuilt)
+        stale |= set(report.stale_bundles)
     else:
         if args.incremental and not args.json:
             print(
@@ -965,11 +969,10 @@ def _cmd_ingest(args, out) -> int:
         report.crawl_health = crawl_health
         manifest = write_bundles(report, args.out)
         bundle_total = len(report.bundles)
-        stale_bundles = []
 
     invalidation = None
     if args.store or args.wrapper_cache_dir:
-        invalidation = _ingest_invalidate(args, stale_bundles, run_obs, out)
+        invalidation = _ingest_invalidate(args, stale, run_obs, out)
 
     if args.json:
         summary = report.as_dict()

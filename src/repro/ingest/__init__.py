@@ -28,11 +28,12 @@ from repro.ingest.bundle import (
     IngestReport,
     QuarantinedPage,
     SiteBundle,
+    bundle_dirs,
     ingest_pages,
     page_fingerprint,
     write_bundles,
 )
-from repro.ingest.classify import ClassifyConfig, classify_profile, classify_profiles
+from repro.ingest.classify import classify_profile, classify_profiles
 from repro.ingest.cluster import ClusterConfig, TemplateCluster, cluster_profiles
 from repro.ingest.diff import (
     CrawlDiff,
@@ -60,7 +61,6 @@ from repro.ingest.fingerprint import (
 __all__ = [
     "CRAWL_SNAPSHOT_NAME",
     "INGEST_MANIFEST_NAME",
-    "ClassifyConfig",
     "ClusterConfig",
     "CrawlDiff",
     "FetchedCrawl",
@@ -73,6 +73,7 @@ __all__ = [
     "ShingleSpace",
     "SiteBundle",
     "TemplateCluster",
+    "bundle_dirs",
     "classify_profile",
     "classify_profiles",
     "cluster_profiles",

@@ -35,12 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro._atomic import write_atomic
-from repro.ingest.classify import (
-    DETAIL,
-    LIST,
-    ClassifyConfig,
-    classify_profiles,
-)
+from repro.ingest.classify import DETAIL, LIST, classify_profiles
 from repro.ingest.cluster import (
     ClusterConfig,
     TemplateCluster,
@@ -49,13 +44,14 @@ from repro.ingest.cluster import (
 from repro.ingest.fingerprint import PageProfile, ShingleSpace, profile_pages
 from repro.obs import Observability, current
 from repro.webdoc.page import Page
-from repro.webdoc.store import save_sample
+from repro.webdoc.store import MANIFEST_NAME, plain_name, save_sample
 
 __all__ = [
     "IngestConfig",
     "IngestReport",
     "QuarantinedPage",
     "SiteBundle",
+    "bundle_dirs",
     "ingest_pages",
     "page_fingerprint",
     "write_bundles",
@@ -76,27 +72,29 @@ QUARANTINE_REASONS = (
 )
 
 
+#: Minimum list pages per bundle.  One-page "chains" are
+#: indistinguishable from portals and link hubs.
+MIN_CHAIN = 2
+
+#: Minimum fraction of a chain's candidate detail links that must land
+#: in a single cluster.  Real list pages concentrate (every row is the
+#: same template); portals scatter.
+CONCENTRATION = 0.5
+
+
 @dataclass(frozen=True)
 class IngestConfig:
-    """Knobs for the whole front door.
+    """The front door's settable thresholds (``repro ingest`` flags).
 
     Attributes:
-        classify: page-type thresholds.
-        cluster: template-cluster thresholds.
-        min_chain: minimum list pages per bundle.  One-page "chains"
-            are indistinguishable from portals and link hubs.
-        min_details: minimum detail pages per list page.
-        concentration: minimum fraction of a chain's candidate detail
-            links that must land in a single cluster.  Real list
-            pages concentrate (every row is the same template);
-            portals scatter.
+        cluster: template-cluster thresholds (``--join-threshold``,
+            ``--merge-threshold``).
+        min_details: minimum detail pages per list page
+            (``--min-details``).
     """
 
-    classify: ClassifyConfig = field(default_factory=ClassifyConfig)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
-    min_chain: int = 2
     min_details: int = 2
-    concentration: float = 0.5
 
 
 @dataclass
@@ -127,6 +125,17 @@ class SiteBundle:
             urls.extend(page.url for page in details)
         return urls
 
+    def entry(self) -> dict:
+        """The bundle's ingest-manifest entry."""
+        return {
+            "name": self.name,
+            "list_pages": [page.url for page in self.list_pages],
+            "detail_counts": [
+                len(details) for details in self.detail_pages_per_list
+            ],
+            "pages": self.page_urls(),
+        }
+
 
 @dataclass(frozen=True)
 class QuarantinedPage:
@@ -148,8 +157,49 @@ def page_fingerprint(html: str) -> str:
     return hashlib.sha256(html.encode("utf-8")).hexdigest()
 
 
+class PageAccounting:
+    """The page accounting a full and an incremental report share.
+
+    A subclass has ``page_count``, ``bundled_page_count``,
+    ``quarantined``, ``fingerprints`` and ``crawl_health``.
+    """
+
+    def reconciles(self) -> bool:
+        """Every input page bundled or quarantined, no double counting."""
+        return self.bundled_page_count + len(self.quarantined) == self.page_count
+
+    def quarantine_counts(self) -> dict[str, int]:
+        counts: dict[str, int] = {}
+        for page in self.quarantined:
+            counts[page.reason] = counts.get(page.reason, 0) + 1
+        return dict(
+            sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+        )
+
+    def _summary(
+        self, clusters: int, bundles: list[dict], diff: dict | None
+    ) -> dict:
+        """The manifest keys both reports write."""
+        return {
+            "pages": self.page_count,
+            "clusters": clusters,
+            "bundled": self.bundled_page_count,
+            "quarantined": len(self.quarantined),
+            "reconciled": self.reconciles(),
+            "quarantine_counts": self.quarantine_counts(),
+            "bundles": bundles,
+            "quarantine": [
+                {"url": page.url, "reason": page.reason}
+                for page in self.quarantined
+            ],
+            "fingerprints": dict(sorted(self.fingerprints.items())),
+            "crawl_health": self.crawl_health,
+            "diff": diff,
+        }
+
+
 @dataclass
-class IngestReport:
+class IngestReport(PageAccounting):
     """The full, reconciled outcome of one ingest run.
 
     Beyond the page accounting, the report carries the lifecycle
@@ -171,49 +221,15 @@ class IngestReport:
     def bundled_page_count(self) -> int:
         return sum(bundle.page_count for bundle in self.bundles)
 
-    def reconciles(self) -> bool:
-        """Every input page bundled or quarantined, no double counting."""
-        return self.bundled_page_count + len(self.quarantined) == self.page_count
-
-    def quarantine_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for page in self.quarantined:
-            counts[page.reason] = counts.get(page.reason, 0) + 1
-        return dict(
-            sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-        )
-
     def as_dict(self) -> dict:
-        """JSON-ready summary (the quarantine manifest's schema)."""
-        return {
-            "pages": self.page_count,
-            "clusters": self.cluster_count,
-            "bundled": self.bundled_page_count,
-            "quarantined": len(self.quarantined),
-            "reconciled": self.reconciles(),
-            "quarantine_counts": self.quarantine_counts(),
-            "bundles": [
-                {
-                    "name": bundle.name,
-                    "list_pages": [p.url for p in bundle.list_pages],
-                    "detail_counts": [
-                        len(details)
-                        for details in bundle.detail_pages_per_list
-                    ],
-                    "pages": bundle.page_urls(),
-                }
-                for bundle in self.bundles
-            ],
-            "quarantine": [
-                {"url": page.url, "reason": page.reason}
-                for page in self.quarantined
-            ],
-            "fingerprints": dict(sorted(self.fingerprints.items())),
-            "crawl_health": self.crawl_health,
-            # Schema stability with incremental runs: a full ingest has
-            # no diff, but the key is always present (see ingest/diff.py).
-            "diff": None,
-        }
+        """JSON-ready summary (the quarantine manifest's schema).
+
+        A full ingest has no diff, but the key is always present, for
+        schema stability with incremental runs (see ingest/diff.py).
+        """
+        return self._summary(
+            self.cluster_count, [bundle.entry() for bundle in self.bundles], None
+        )
 
 
 def ingest_pages(
@@ -240,7 +256,7 @@ def ingest_pages(
             span.attributes["shingles"] = len(space)
 
         with obs.span("ingest.classify") as span:
-            kinds = classify_profiles(profiles, config.classify)
+            kinds = classify_profiles(profiles)
             for kind in (LIST, DETAIL, "other"):
                 span.attributes[kind] = kinds.count(kind)
 
@@ -441,9 +457,9 @@ def _try_bundle(
     detail_cluster_id = min(
         votes, key=lambda cid: (-votes[cid], cid)
     )
-    if votes[detail_cluster_id] / total_candidates < config.concentration:
+    if votes[detail_cluster_id] / total_candidates < CONCENTRATION:
         return "portal"
-    if len(chain) < config.min_chain:
+    if len(chain) < MIN_CHAIN:
         return "short-chain"
 
     details_per_list: list[list[Page]] = []
@@ -507,59 +523,44 @@ def write_bundles(
     segment-dir out_dir`` — consumes the output directly.  The
     quarantine manifest (:data:`INGEST_MANIFEST_NAME`) records the
     full accounting next to the bundles.  A full ingest replaces the
-    previous generation: every bundle directory the previous manifest
-    lists is removed first.  Returns the manifest path.
+    previous generation (:func:`_write_generation`).  Returns the
+    manifest path.
     """
-    out_dir = Path(out_dir)
-    return _write_generation(
-        out_dir, _listed_bundles(out_dir), report.bundles, report.as_dict()
-    )
+    return _write_generation(out_dir, report.bundles, report.as_dict())
 
 
-def _listed_bundles(out_dir: Path) -> list:
-    """The bundle names the manifest in ``out_dir`` lists, if readable."""
-    try:
-        manifest = json.loads(
-            (out_dir / INGEST_MANIFEST_NAME).read_text(encoding="utf-8")
-        )
-        return [entry["name"] for entry in manifest["bundles"]]
-    except (OSError, ValueError, KeyError, TypeError):
-        return []
+def bundle_dirs(out_dir: str | Path) -> list[str]:
+    """The bundle directories under ``out_dir``, sorted by name.
 
-
-def _plain_name(name: object) -> bool:
-    """Is ``name`` a child of a directory: no separator, not ``.``/``..``?"""
-    return (
-        isinstance(name, str)
-        and name not in ("", ".", "..")
-        and "/" not in name
-        and "\\" not in name
+    A bundle directory is a child directory holding a ``sample.json``:
+    exactly what ``tasks_from_directory(out_dir)`` runs.
+    """
+    return sorted(
+        path.parent.name
+        for path in Path(out_dir).glob(f"*/{MANIFEST_NAME}")
+        if path.is_file()
     )
 
 
 def _write_generation(
-    out_dir: str | Path,
-    remove: list,
-    bundles: list[SiteBundle],
-    manifest: dict,
+    out_dir: str | Path, bundles: list[SiteBundle], manifest: dict
 ) -> Path:
-    """Remove the named bundle directories, write ``bundles``, then the
-    manifest, last.
+    """Make ``out_dir`` hold exactly the bundles ``manifest`` lists.
 
-    Only plain child names of ``out_dir`` are removed: a manifest entry
-    with a path separator, or named ``.`` or ``..``, is left alone.  A
-    bundle name that is not plain raises ``ValueError`` before anything
-    is removed or written.
+    In order: a bundle name that is not plain raises ``ValueError``
+    before anything is touched; each of ``bundles`` is cleared and
+    written; the manifest is replaced in one rename; only then is every
+    bundle directory (:func:`bundle_dirs`) the manifest does not list
+    removed.  Nothing outside ``out_dir`` is written or removed: a
+    symlink among its children is removed itself, never followed.
     """
-    unsafe = [bundle.name for bundle in bundles if not _plain_name(bundle.name)]
+    unsafe = [bundle.name for bundle in bundles if not plain_name(bundle.name)]
     if unsafe:
         raise ValueError(f"bundle names must be plain file names: {unsafe!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name in remove:
-        if _plain_name(name):
-            shutil.rmtree(out_dir / name, ignore_errors=True)
     for bundle in bundles:
+        _remove(out_dir / bundle.name)
         save_sample(
             out_dir / bundle.name,
             bundle.name,
@@ -571,4 +572,16 @@ def _write_generation(
         manifest_path,
         (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"),
     )
+    listed = {entry["name"] for entry in manifest["bundles"]}
+    for name in bundle_dirs(out_dir):
+        if name not in listed:
+            _remove(out_dir / name)
     return manifest_path
+
+
+def _remove(path: Path) -> None:
+    """Remove a child of ``out_dir``; a symlink goes, never its target."""
+    if path.is_symlink():
+        path.unlink()
+    else:
+        shutil.rmtree(path, ignore_errors=True)

@@ -22,11 +22,9 @@ classifies as "list" here but never survives bundling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.ingest.fingerprint import PageProfile
 
-__all__ = ["ClassifyConfig", "PageKind", "classify_profile", "classify_profiles"]
+__all__ = ["PageKind", "classify_profile", "classify_profiles"]
 
 #: The three page types, as string constants (JSON-friendly).
 PageKind = str
@@ -35,48 +33,30 @@ LIST: PageKind = "list"
 DETAIL: PageKind = "detail"
 OTHER: PageKind = "other"
 
-
-@dataclass(frozen=True)
-class ClassifyConfig:
-    """Classification thresholds.
-
-    Attributes:
-        min_list_fanout: minimum distinct outgoing links for a list
-            page.  A results page links to every row's record plus
-            chrome; generated list pages sit well above 10.
-        min_list_repeat: minimum :attr:`PageProfile.repeat_ratio` for
-            a list page.  Row templates repeat, so list pages score
-            0.5+; one-off pages score near 0.
-        max_detail_fanout: maximum fanout for a detail page.  Record
-            pages carry only chrome links (home / search / footer).
-    """
-
-    min_list_fanout: int = 6
-    min_list_repeat: float = 0.25
-    max_detail_fanout: int = 5
+#: Minimum distinct outgoing links of a list page.  A results page
+#: links to every row's record plus chrome; generated list pages sit
+#: well above 10.
+MIN_LIST_FANOUT = 6
+#: Minimum :attr:`PageProfile.repeat_ratio` of a list page.  Row
+#: templates repeat, so list pages score 0.5+; one-off pages near 0.
+MIN_LIST_REPEAT = 0.25
+#: Maximum fanout of a detail page: record pages carry only chrome
+#: links (home / search / footer).
+MAX_DETAIL_FANOUT = 5
 
 
-def classify_profile(
-    profile: PageProfile, config: ClassifyConfig | None = None
-) -> PageKind:
+def classify_profile(profile: PageProfile) -> PageKind:
     """Classify one fingerprinted page as list / detail / other."""
-    config = config or ClassifyConfig()
     if profile.has_form:
         return OTHER
     fanout = profile.link_fanout
-    if (
-        fanout >= config.min_list_fanout
-        and profile.repeat_ratio >= config.min_list_repeat
-    ):
+    if fanout >= MIN_LIST_FANOUT and profile.repeat_ratio >= MIN_LIST_REPEAT:
         return LIST
-    if 1 <= fanout <= config.max_detail_fanout:
+    if 1 <= fanout <= MAX_DETAIL_FANOUT:
         return DETAIL
     return OTHER
 
 
-def classify_profiles(
-    profiles: list[PageProfile], config: ClassifyConfig | None = None
-) -> list[PageKind]:
+def classify_profiles(profiles: list[PageProfile]) -> list[PageKind]:
     """Classify every profile; output parallels the input."""
-    config = config or ClassifyConfig()
-    return [classify_profile(profile, config) for profile in profiles]
+    return [classify_profile(profile) for profile in profiles]

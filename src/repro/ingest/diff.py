@@ -22,11 +22,11 @@ path of the ingest lifecycle:
    :class:`ReingestReport` that reconciles over the *whole* fresh
    crawl — carried pages + re-bundled pages + quarantined pages ==
    input pages, same invariant as a full ingest;
-4. :func:`write_reingest` materializes it: stale bundle directories
-   are deleted, rebuilt ones rewritten, carried ones left
-   byte-identical on disk (the digest-parity guarantee), and the
-   merged manifest is itself a valid "previous" for the next
-   incremental run.
+4. :func:`write_reingest` materializes it: rebuilt bundle directories
+   are rewritten, carried ones left byte-identical on disk (the
+   digest-parity guarantee), directories the merged manifest no
+   longer lists are removed, and the merged manifest is itself a
+   valid "previous" for the next incremental run.
 
 The diff outcome is exported as ``ingest.diff.{unchanged, changed,
 added, removed}`` counters plus ``ingest.carried.bundles`` /
@@ -38,13 +38,14 @@ their templates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.ingest.bundle import (
     INGEST_MANIFEST_NAME,
     IngestConfig,
     IngestReport,
+    PageAccounting,
     QuarantinedPage,
     _drop_duplicate_urls,
     _write_generation,
@@ -251,7 +252,7 @@ def plan_reingest(
 
 
 @dataclass
-class ReingestReport:
+class ReingestReport(PageAccounting):
     """The reconciled outcome of one incremental re-ingest.
 
     Same accounting contract as a full
@@ -293,55 +294,24 @@ class ReingestReport:
     def rebuilt(self) -> list[str]:
         return [bundle.name for bundle in self.report.bundles]
 
-    def reconciles(self) -> bool:
-        """Every fresh-crawl page carried, rebuilt, or quarantined."""
-        return (
-            self.bundled_page_count + len(self.quarantined)
-            == self.page_count
-        )
-
-    def quarantine_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for page in self.quarantined:
-            counts[page.reason] = counts.get(page.reason, 0) + 1
-        return dict(
-            sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-        )
-
     def as_dict(self) -> dict:
         """JSON-ready merged summary — a valid "previous" manifest."""
         bundles = list(self.carried) + [
-            {
-                "name": bundle.name,
-                "list_pages": [p.url for p in bundle.list_pages],
-                "detail_counts": [
-                    len(details) for details in bundle.detail_pages_per_list
-                ],
-                "pages": bundle.page_urls(),
-            }
-            for bundle in self.report.bundles
+            bundle.entry() for bundle in self.report.bundles
         ]
-        return {
-            "pages": self.page_count,
-            "clusters": self.report.cluster_count,
-            "bundled": self.bundled_page_count,
-            "quarantined": len(self.quarantined),
-            "reconciled": self.reconciles(),
-            "quarantine_counts": self.quarantine_counts(),
-            "bundles": sorted(bundles, key=lambda entry: entry["name"]),
-            "quarantine": [
-                {"url": page.url, "reason": page.reason}
-                for page in self.quarantined
-            ],
-            "fingerprints": dict(sorted(self.fingerprints.items())),
-            "crawl_health": self.crawl_health,
-            "diff": self.diff.counts(),
-            "reprocessed": self.reprocessed_page_count,
-            "carried": sorted(entry["name"] for entry in self.carried),
-            "rebuilt": sorted(self.rebuilt),
-            "stale_bundles": list(self.stale_bundles),
-            "removed_bundles": list(self.removed_bundles),
-        }
+        summary = self._summary(
+            self.report.cluster_count,
+            sorted(bundles, key=lambda entry: entry["name"]),
+            self.diff.counts(),
+        )
+        summary.update(
+            reprocessed=self.reprocessed_page_count,
+            carried=sorted(entry["name"] for entry in self.carried),
+            rebuilt=sorted(self.rebuilt),
+            stale_bundles=list(self.stale_bundles),
+            removed_bundles=list(self.removed_bundles),
+        )
+        return summary
 
 
 def reingest_pages(
@@ -413,16 +383,12 @@ def write_reingest(
 ) -> Path:
     """Apply one incremental run to a bundle directory.
 
-    Stale bundle directories are deleted (rebuilt ones come straight
-    back from the subset run; vanished ones stay gone), carried
-    directories are not touched — their bytes are the previous run's,
-    which is the point — and the merged manifest replaces
-    :data:`~repro.ingest.bundle.INGEST_MANIFEST_NAME`, last.  Returns
-    the manifest path.
+    Rebuilt bundles are rewritten, carried directories are not touched
+    — their bytes are the previous run's, which is the point — the
+    merged manifest replaces
+    :data:`~repro.ingest.bundle.INGEST_MANIFEST_NAME`, and only then
+    are the directories it no longer lists (vanished bundles) removed
+    (:func:`~repro.ingest.bundle._write_generation`).  Returns the
+    manifest path.
     """
-    return _write_generation(
-        out_dir,
-        reingest.stale_bundles,
-        reingest.report.bundles,
-        reingest.as_dict(),
-    )
+    return _write_generation(out_dir, reingest.report.bundles, reingest.as_dict())

@@ -21,26 +21,26 @@ name :mod:`repro.sitegen.mixed` writes, so
 read a snapshot back exactly like an exported corpus, in the recorded
 crawl order.
 
-Snapshot writes are deterministic bytes: sorted JSON keys and LF-only
-line endings, so the same crawl produces the same manifest on every
+Snapshot writes are deterministic bytes: both producers write through
+:func:`~repro.webdoc.store.save_crawl` (sorted JSON keys, LF-only
+files), so the same crawl produces the same manifest on every
 platform and fingerprint diffs (:mod:`repro.ingest.diff`) never see
 phantom churn from serialization.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from repro._atomic import write_atomic
 from repro.crawl.resilient import CrawlBudget, CrawlHealth, ResilientFetcher
 from repro.ingest.bundle import page_fingerprint
 from repro.obs import Observability, current
 from repro.webdoc.html import extract_links
 from repro.webdoc.page import Page
+from repro.webdoc.store import CRAWL_MANIFEST_NAME, save_crawl
 
 __all__ = [
     "CRAWL_SNAPSHOT_NAME",
@@ -49,9 +49,9 @@ __all__ = [
     "write_snapshot",
 ]
 
-#: Snapshot manifest name — deliberately the same file name the mixed
-#: corpus generator uses, so both producers feed one consumer.
-CRAWL_SNAPSHOT_NAME = "crawl.json"
+#: Snapshot manifest name — the same file the mixed corpus generator
+#: writes, so both producers feed one consumer.
+CRAWL_SNAPSHOT_NAME = CRAWL_MANIFEST_NAME
 
 
 @dataclass
@@ -139,26 +139,15 @@ def write_snapshot(crawl: FetchedCrawl, directory: str | Path) -> Path:
 
     The manifest records the seeds, the crawl order, a fingerprint per
     page and the crawl health — everything a later run needs to diff
-    against this crawl or to re-ingest it byte-identically.  Writes
-    are deterministic (sorted keys, LF-only).  Returns the manifest
-    path.
+    against this crawl or to re-ingest it byte-identically.  Written by
+    :func:`~repro.webdoc.store.save_crawl`.  Returns the manifest path.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for page in crawl.pages:
-        (directory / page.url).write_text(
-            page.html, encoding="utf-8", newline="\n"
-        )
-    manifest = {
-        "seeds": list(crawl.seeds),
-        "pages": [page.url for page in crawl.pages],
-        "fingerprints": dict(sorted(crawl.fingerprints.items())),
-        "crawl_health": crawl.health.as_dict(),
-    }
-    manifest_path = directory / CRAWL_SNAPSHOT_NAME
-    write_atomic(
-        manifest_path,
-        (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"),
+    return save_crawl(
+        directory,
+        crawl.pages,
+        {
+            "seeds": list(crawl.seeds),
+            "fingerprints": dict(sorted(crawl.fingerprints.items())),
+            "crawl_health": crawl.health.as_dict(),
+        },
     )
-    return manifest_path
-

@@ -108,18 +108,15 @@ class ShingleSpace:
     One space is shared by every page of one ingest run so shingle
     ids are comparable across pages (the same scoping rule as
     :class:`~repro.webdoc.interning.TokenTable`, which it reuses for
-    the atom alphabet).  Shingle k-grams — tuples of atom ids — get
-    their own dense ids so a fingerprint is a flat int tuple.
+    the atom alphabet).  Shingle k-grams (:data:`SHINGLE_K` atom ids)
+    get their own dense ids so a fingerprint is a flat int tuple.
     """
 
-    __slots__ = ("atoms", "_shingle_ids", "k")
+    __slots__ = ("atoms", "_shingle_ids")
 
-    def __init__(self, k: int = SHINGLE_K) -> None:
-        if k < 1:
-            raise ValueError(f"shingle width must be >= 1, got {k}")
+    def __init__(self) -> None:
         self.atoms = TokenTable()
         self._shingle_ids: dict[tuple[int, ...], int] = {}
-        self.k = k
 
     def __len__(self) -> int:
         return len(self._shingle_ids)
@@ -187,7 +184,7 @@ def profile_page(page: Page, space: ShingleSpace) -> PageProfile:
                     current_text.append(text)
     close_anchor()
 
-    k = space.k
+    k = SHINGLE_K
     if 0 < len(atom_ids) < k:
         grams = [tuple(atom_ids)]
     else:

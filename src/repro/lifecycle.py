@@ -2,10 +2,11 @@
 
 Every downstream layer caches something derived from a site's
 template: the relational store holds its segmented rows, the serving
-registry holds its induced wrapper (in memory and on disk).  When
-incremental re-ingest (:mod:`repro.ingest.diff`) declares a bundle
-stale — its pages changed, vanished, or got re-wired — those derived
-artifacts are wrong *now*, whether or not anything re-segments later.
+registry holds its induced wrapper (in memory and on disk).  When an
+ingest replaces or removes a bundle directory, or incremental
+re-ingest (:mod:`repro.ingest.diff`) declares a bundle stale — its
+pages changed, vanished, or got re-wired — those derived artifacts
+are wrong *now*, whether or not anything re-segments later.
 
 :func:`invalidate_consumers` is the single place that knowledge
 propagates from.  For every stale site id it:

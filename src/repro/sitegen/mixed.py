@@ -47,7 +47,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro._atomic import write_atomic
 from repro.sitegen.domains.corrections import (
     _corrections_extras,
     _inmate_schema,
@@ -59,6 +58,7 @@ from repro.sitegen.rng import SiteRng
 from repro.sitegen.site import GeneratedSite, RowLayout, SiteSpec
 from repro.sitegen.sweeps import _INMATE_LABELS, _PARCEL_LABELS
 from repro.webdoc.page import Page
+from repro.webdoc.store import CRAWL_MANIFEST_NAME, plain_name, save_crawl
 
 __all__ = [
     "CRAWL_MANIFEST_NAME",
@@ -73,7 +73,6 @@ __all__ = [
     "write_crawl",
 ]
 
-CRAWL_MANIFEST_NAME = "crawl.json"
 
 #: Plain single-template slot names (``mix007``); only these churn,
 #: so multi-template slots and their stitched portals stay stable.
@@ -574,32 +573,27 @@ def write_crawl(corpus: MixedCorpus, directory: str | Path) -> Path:
 
     Page URLs become file names; :data:`CRAWL_MANIFEST_NAME` records
     the crawl order, the ground-truth site structure and the
-    distractor set.  Returns the manifest path.
+    distractor set (written by :func:`~repro.webdoc.store.save_crawl`).
+    Returns the manifest path.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for page in corpus.pages:
-        (directory / page.url).write_text(page.html, encoding="utf-8")
-    manifest = {
-        "seed": corpus.spec.seed,
-        "generation": corpus.spec.generation,
-        "churn": corpus.churn.as_dict() if corpus.churn else None,
-        "pages": [page.url for page in corpus.pages],
-        "distractors": sorted(corpus.distractor_urls),
-        "sites": [
-            {
-                "name": site.name,
-                "lists": list(site.list_urls),
-                "details": [list(urls) for urls in site.detail_urls_per_list],
-            }
-            for site in corpus.sites
-        ],
-    }
-    manifest_path = directory / CRAWL_MANIFEST_NAME
-    write_atomic(
-        manifest_path, (json.dumps(manifest, indent=2) + "\n").encode("utf-8")
+    return save_crawl(
+        directory,
+        corpus.pages,
+        {
+            "seed": corpus.spec.seed,
+            "generation": corpus.spec.generation,
+            "churn": corpus.churn.as_dict() if corpus.churn else None,
+            "distractors": sorted(corpus.distractor_urls),
+            "sites": [
+                {
+                    "name": site.name,
+                    "lists": list(site.list_urls),
+                    "details": [list(urls) for urls in site.detail_urls_per_list],
+                }
+                for site in corpus.sites
+            ],
+        },
     )
-    return manifest_path
 
 
 def load_crawl_pages(directory: str | Path) -> list[Page]:
@@ -607,13 +601,21 @@ def load_crawl_pages(directory: str | Path) -> list[Page]:
 
     With a :data:`CRAWL_MANIFEST_NAME` present the recorded crawl
     order is preserved; otherwise every ``*.html`` file is read in
-    sorted name order.  Either way the pages carry no role hints.
+    sorted name order.  Either way the pages carry no role hints.  A
+    manifest page name that is not a plain file name of ``directory``
+    (:func:`~repro.webdoc.store.plain_name`) raises ``ValueError``:
+    a crawl directory never reads outside itself.
     """
     directory = Path(directory)
     manifest_path = directory / CRAWL_MANIFEST_NAME
     if manifest_path.is_file():
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         names = list(manifest["pages"])
+        unsafe = [name for name in names if not plain_name(name)]
+        if unsafe:
+            raise ValueError(
+                f"{manifest_path}: page names must be plain file names: {unsafe!r}"
+            )
     else:
         names = sorted(
             path.name for path in directory.glob("*.html") if path.is_file()

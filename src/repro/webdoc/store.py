@@ -21,6 +21,12 @@ Manifest schema (``sample.json``)::
         {"list": "list1.html", "details": [...]}
       ]
     }
+
+A *crawl directory* is the flat form of a whole crawl: every page as
+a file named by its URL plus a ``crawl.json`` manifest holding the
+crawl order under ``"pages"`` (:func:`save_crawl`).  The corpus
+generator's ``write_crawl`` and fetch mode's ``write_snapshot`` both
+write through :func:`save_crawl`, each adding its own keys.
 """
 
 from __future__ import annotations
@@ -33,9 +39,10 @@ from repro._atomic import write_atomic
 from repro.core.exceptions import ReproError
 from repro.webdoc.page import Page
 
-__all__ = ["PageSample", "load_sample", "save_sample"]
+__all__ = ["PageSample", "load_sample", "plain_name", "save_crawl", "save_sample"]
 
 MANIFEST_NAME = "sample.json"
+CRAWL_MANIFEST_NAME = "crawl.json"
 
 
 class SampleError(ReproError):
@@ -85,6 +92,39 @@ def save_sample(
         )
     manifest_path = directory / MANIFEST_NAME
     write_atomic(manifest_path, json.dumps(manifest, indent=2).encode("utf-8"))
+    return manifest_path
+
+
+def plain_name(name: object) -> bool:
+    """Is ``name`` a child of a directory: no separator, not ``.``/``..``?"""
+    return (
+        isinstance(name, str)
+        and name not in ("", ".", "..")
+        and "/" not in name
+        and "\\" not in name
+    )
+
+
+def save_crawl(directory: str | Path, pages: list[Page], fields: dict) -> Path:
+    """Write ``pages`` flat into ``directory``, then its ``crawl.json``.
+
+    Each page is written LF-only under its URL; the manifest is
+    ``fields`` plus the crawl order under ``"pages"``, written once,
+    atomically, with sorted keys.  A page URL that is not a
+    :func:`plain_name` raises ``ValueError`` before anything is
+    written.  Returns the manifest path.
+    """
+    names = [page.url for page in pages]
+    unsafe = [name for name in names if not plain_name(name)]
+    if unsafe:
+        raise ValueError(f"crawl page names must be plain file names: {unsafe!r}")
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for page in pages:
+        (directory / page.url).write_text(page.html, encoding="utf-8", newline="\n")
+    manifest_path = directory / CRAWL_MANIFEST_NAME
+    manifest = json.dumps({**fields, "pages": names}, indent=2, sort_keys=True)
+    write_atomic(manifest_path, (manifest + "\n").encode("utf-8"))
     return manifest_path
 
 

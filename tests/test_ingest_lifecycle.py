@@ -348,6 +348,29 @@ class TestBundleDirectoryGenerations:
         on_disk = {path.parent.name for path in out.glob("*/sample.json")}
         assert on_disk == listed
 
+    def test_full_ingest_over_a_torn_manifest_leaves_only_listed_bundles(
+        self, tmp_path
+    ):
+        # A manifest cut to half its bytes names no bundles; the next
+        # full ingest still leaves exactly the bundles it lists.
+        out = tmp_path / "bundles"
+        big = build_mixed_corpus(MixedCorpusSpec(sites=8, seed=3))
+        manifest = write_bundles(ingest_pages(big.pages), out)
+        assert len(list(out.glob("*/sample.json"))) == 10
+        torn = manifest.read_bytes()
+        manifest.write_bytes(torn[: len(torn) // 2])
+        small = build_mixed_corpus(MixedCorpusSpec(sites=3, seed=4))
+        manifest = write_bundles(ingest_pages(small.pages), out)
+        listed = {
+            entry["name"]
+            for entry in json.loads(manifest.read_text(encoding="utf-8"))[
+                "bundles"
+            ]
+        }
+        assert len(listed) == 4
+        on_disk = {path.parent.name for path in out.glob("*/sample.json")}
+        assert on_disk == listed
+
     def test_failed_manifest_write_keeps_the_previous_manifest(
         self, tmp_path, monkeypatch
     ):
@@ -388,6 +411,27 @@ class TestBundleDirectoryGenerations:
         on_disk = {path.parent.name for path in out.glob("*/sample.json")}
         assert on_disk == listed
         assert old_bundles - listed and not (old_bundles - listed) & on_disk
+
+    def test_writer_never_follows_a_symlink_in_out(self, tmp_path):
+        # A symlink named like a bundle, or holding a stale bundle, is
+        # replaced or removed itself; what it points to is untouched.
+        report = ingest_pages(
+            build_mixed_corpus(MixedCorpusSpec(sites=3, seed=1)).pages
+        )
+        name = report.bundles[0].name
+        out, target, stale = tmp_path / "out", tmp_path / "target", tmp_path / "stale"
+        out.mkdir()
+        target.mkdir()
+        stale.mkdir()
+        (stale / "sample.json").write_text("{}", encoding="utf-8")
+        os.symlink(target, out / name)
+        os.symlink(stale, out / "stale")
+        write_bundles(report, out)
+        assert list(target.iterdir()) == []
+        assert [path.name for path in stale.iterdir()] == ["sample.json"]
+        assert not (out / "stale").exists() and not (out / "stale").is_symlink()
+        assert not (out / name).is_symlink()
+        assert (out / name / "sample.json").is_file()
 
     def test_reingest_never_removes_outside_out(self, tmp_path):
         # A stale bundle name read from the previous manifest is only
@@ -438,8 +482,11 @@ class TestBundleDirectoryGenerations:
         assert (run / "out" / name / "sample.json").is_file()
 
     def test_writer_rejects_a_bundle_name_that_is_not_plain(self, tmp_path):
+        # ``out/old`` is a bundle directory the new manifest does not
+        # list; the name check comes before any removal or write.
         out = tmp_path / "out"
         (out / "old").mkdir(parents=True)
+        (out / "old" / "sample.json").write_text("{}", encoding="utf-8")
         bundle = SiteBundle(
             name="..",
             list_pages=[Page(url="l.html", html="<p>x</p>")],
@@ -448,9 +495,13 @@ class TestBundleDirectoryGenerations:
             detail_cluster_id=1,
         )
         with pytest.raises(ValueError):
-            _write_generation(out, ["old"], [bundle], {"bundles": []})
+            _write_generation(out, [bundle], {"bundles": []})
         written = sorted(path.relative_to(tmp_path) for path in tmp_path.rglob("*"))
-        assert [path.as_posix() for path in written] == ["out", "out/old"]
+        assert [path.as_posix() for path in written] == [
+            "out",
+            "out/old",
+            "out/old/sample.json",
+        ]
 
 
 class TestInvalidation:
@@ -563,6 +614,59 @@ class TestCliLifecycle:
         assert summary["reprocessed"] < summary["pages"]
         assert summary["invalidation"]["errors"] == []
         assert summary["invalidation"]["sites"] == summary["stale_bundles"]
+
+    def test_full_ingest_invalidates_replaced_and_removed_bundles(
+        self, tmp_path, capsys
+    ):
+        # Generation A is segmented into the store; a full ingest of B
+        # over the same --out replaces or removes every A bundle, so
+        # the store keeps none of A's sites.
+        from repro.cli import main
+        from repro.sitegen.mixed import write_crawl
+        from repro.store import RelationalStore
+
+        crawl_a, crawl_b = tmp_path / "a", tmp_path / "b"
+        write_crawl(build_mixed_corpus(MixedCorpusSpec(sites=8, seed=3)), crawl_a)
+        write_crawl(build_mixed_corpus(MixedCorpusSpec(sites=3, seed=4)), crawl_b)
+        out, db = tmp_path / "bundles", tmp_path / "rel.db"
+        assert main(["ingest", str(crawl_a), "--out", str(out)]) == 0
+        assert main(
+            ["segment-dir", str(out), "--method", "csp", "--store", str(db)]
+        ) == 0
+        generation_a = {path.parent.name for path in out.glob("*/sample.json")}
+        with RelationalStore(db) as store:
+            assert {row["site_id"] for row in store.sites()} == generation_a
+        capsys.readouterr()
+        assert main(
+            ["ingest", str(crawl_b), "--out", str(out), "--store", str(db), "--json"]
+        ) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["invalidation"]["sites"] == sorted(generation_a)
+        assert summary["invalidation"]["store_sites_removed"] == len(generation_a)
+        with RelationalStore(db) as store:
+            assert not {row["site_id"] for row in store.sites()} & generation_a
+
+    @pytest.mark.parametrize("absolute", [False, True], ids=["dotdot", "absolute"])
+    def test_crawl_manifest_page_outside_the_directory_is_refused(
+        self, tmp_path, capsys, absolute
+    ):
+        from repro.cli import main
+
+        outside = tmp_path / "outside.html"
+        outside.write_text("<p>outside</p>", encoding="utf-8")
+        crawl_dir = tmp_path / "crawl"
+        crawl_dir.mkdir()
+        (crawl_dir / "a.html").write_text("<p>a</p>", encoding="utf-8")
+        name = str(outside) if absolute else "../outside.html"
+        (crawl_dir / CRAWL_SNAPSHOT_NAME).write_text(
+            json.dumps({"pages": ["a.html", name]}), encoding="utf-8"
+        )
+        with pytest.raises(ValueError):
+            load_crawl_pages(crawl_dir)
+        out = tmp_path / "bundles"
+        assert main(["ingest", str(crawl_dir), "--out", str(out)]) == 2
+        assert "cannot read crawl directory" in capsys.readouterr().out
+        assert not out.exists()
 
     def test_fetch_mode_threads_crawl_health(self, tmp_path, capsys):
         from repro.cli import main

@@ -88,6 +88,14 @@ def test_serving_path_does_not_load_the_crawler():
     assert not {name for name in loaded if name.startswith(layers)}
 
 
+def test_cli_loads_no_pipeline_experiment_or_runner():
+    # The parser needs only the method names and the corpus; each
+    # command imports the layers it runs.
+    loaded = fresh_import("repro.cli")
+    heavy = {"repro.core.pipeline", "repro.reporting.experiment", "repro.runner"}
+    assert not heavy & loaded
+
+
 @pytest.mark.parametrize("module", ["repro.crawl.crawler", "repro.ingest"])
 def test_crawl_and_ingest_import_first(module):
     # crawl.crawler -> ingest.fingerprint and ingest.fetch ->

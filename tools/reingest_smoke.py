@@ -20,9 +20,11 @@ operator would:
 6. proves ``/query``-visible state is clean: the store's site list has
    no removed bundle, and a broad query returns no row attributed to
    one;
-7. exports a smaller mixed crawl, runs a **full** ingest into the same
-   bundle directory, and asserts that the subdirectories holding a
-   ``sample.json`` are exactly the bundles the new manifest lists.
+7. cuts the ingest manifest to half its bytes (a torn write), exports
+   a smaller mixed crawl, runs a **full** ingest into the same bundle
+   directory with ``--store``, and asserts that the subdirectories
+   holding a ``sample.json`` are exactly the bundles the new manifest
+   lists, and that the store lists no site but those bundles.
 
 Exits non-zero on the first failed expectation.  Run from the repo
 root (CI does)::
@@ -190,20 +192,37 @@ def run(tmp: Path) -> int:
         )
         check(len(site_ids) > 0, f"surviving sites still queryable ({len(site_ids)})")
 
+    manifest = bundles / "ingest_manifest.json"
+    torn = manifest.read_bytes()
+    manifest.write_bytes(torn[: len(torn) // 2])
     small = tmp / "small"
     run_cli(
         "export-corpus", str(small), "--mixed", str(SMALL_SLOTS),
         "--seed", str(SEED),
     )
     third = json.loads(
-        run_cli("ingest", str(small), "--out", str(bundles), "--json")
+        run_cli(
+            "ingest", str(small), "--out", str(bundles),
+            "--store", str(store_db), "--json",
+        )
     )
     listed = {entry["name"] for entry in third["bundles"]}
     on_disk = {path.parent.name for path in bundles.glob("*/sample.json")}
     check(
         len(listed) > 0 and on_disk == listed,
-        f"a full ingest over the used bundle directory leaves exactly "
+        f"a full ingest over a torn manifest leaves exactly "
         f"its {len(listed)} bundles ({len(on_disk)} on disk)",
+    )
+    check(
+        third["invalidation"]["errors"] == [],
+        "full-ingest invalidation completed without errors",
+    )
+    with RelationalStore(store_db) as store:
+        stored = {row["site_id"] for row in store.sites()}
+    check(
+        stored <= listed,
+        f"the store lists only bundles of the new manifest "
+        f"({len(stored)} sites, {len(stored - listed)} unlisted)",
     )
 
     print("reingest smoke: all checks passed")
